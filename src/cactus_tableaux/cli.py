@@ -8,7 +8,9 @@ failure, 2 usage or input error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -34,28 +36,55 @@ def _emit(stream, obj) -> None:
     stream.write(json.dumps(obj, separators=(", ", ": ")) + "\n")
 
 
+def _required(value, flag: str, command: str):
+    if value is None:
+        raise ValueError(f"{command} needs {flag}")
+    return value
+
+
+def _is_int_list(obj) -> bool:
+    return isinstance(obj, list) and all(isinstance(x, int) for x in obj)
+
+
+def _int_list(text: str, what: str) -> list[int]:
+    obj = json.loads(text)
+    if not _is_int_list(obj):
+        raise ValueError(f"{what} must be a JSON array of integers")
+    return obj
+
+
 def _parse_shape(text: str) -> Partition:
-    return Partition(json.loads(text))
+    return Partition(_int_list(text, "shape"))
 
 
 def _parse_tableau(text: str) -> Tableau:
     obj = json.loads(text)
     if not isinstance(obj, dict) or "rows" not in obj:
         raise ValueError("tableau JSON must be an object with a 'rows' field")
+    rows = obj["rows"]
+    if not (isinstance(rows, list) and all(_is_int_list(row) for row in rows)):
+        raise ValueError("tableau 'rows' must be a JSON array of integer arrays")
+    if not _is_int_list(obj.get("inner", [])):
+        raise ValueError("tableau 'inner' must be a JSON array of integers")
     return Tableau.from_json(obj)
 
 
 def _cmd_enumerate(args, stream) -> int:
+    command = f"enumerate {args.what}"
     if args.what == "partitions":
-        for lam in enumerate_partitions(args.n):
+        for lam in enumerate_partitions(_required(args.n, "--n", command)):
             _emit(stream, list(lam))
         return 0
-    shape = _parse_shape(args.shape)
+    shape = _parse_shape(_required(args.shape, "--shape", command))
+    if args.what in ("ssyt", "patterns"):
+        _required(args.m, "--m", command)
     if args.what == "syt":
         for t in enumerate_syt(shape):
             _emit(stream, t.to_json())
     elif args.what == "ssyt":
-        content = Composition(json.loads(args.content)) if args.content else None
+        content = (
+            Composition(_int_list(args.content, "content")) if args.content else None
+        )
         for t in enumerate_ssyt(shape, args.m, content_filter=content):
             _emit(stream, t.to_json())
     elif args.what == "tabloids":
@@ -78,7 +107,12 @@ def _make_config(args) -> RunConfig:
     if args.shapes in ("all", "hooks"):
         shapes = args.shapes
     else:
-        shapes = tuple(tuple(s) for s in json.loads(args.shapes))
+        shapes = json.loads(args.shapes)
+        if not (isinstance(shapes, list) and all(map(_is_int_list, shapes))):
+            raise ValueError(
+                "--shapes must be all, hooks or a JSON array of integer arrays"
+            )
+        shapes = tuple(tuple(s) for s in shapes)
     n_min = args.n_min if args.n_min is not None else args.n
     n_max = args.n_max if args.n_max is not None else args.n
     if n_min is None:
@@ -120,7 +154,7 @@ def _cmd_decompose(args, stream) -> int:
 
 def _cmd_kostka(args, stream) -> int:
     mu = _parse_shape(args.mu)
-    nu = Composition(json.loads(args.nu))
+    nu = Composition(_int_list(args.nu, "nu"))
     _emit(stream, {"mu": list(mu), "nu": list(nu), "kostka": kostka_number(mu, nu)})
     return 0
 
@@ -203,12 +237,33 @@ def dispatch(argv: Optional[Sequence[str]] = None) -> int:
     out_path = getattr(args, "out", None)
     try:
         if out_path:
-            with open(out_path, "w") as stream:
-                return args.func(args, stream)
+            return _run_to_file(args, out_path)
         return args.func(args, sys.stdout)
     except (ValueError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+
+
+def _run_to_file(args, path: str) -> int:
+    """Run the command into a temporary file beside ``path``, then move it
+    into place; a command that raises leaves ``path`` as it was."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as stream:
+            code = args.func(args, stream)
+        os.replace(tmp, path)
+    except OSError as exc:
+        _discard(tmp)
+        raise ValueError(f"cannot write {path}: {exc.strerror}") from exc
+    except BaseException:
+        _discard(tmp)
+        raise
+    return code
+
+
+def _discard(path: str) -> None:
+    with contextlib.suppress(FileNotFoundError):
+        os.unlink(path)
 
 
 def main() -> None:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Iterable, Optional, Sequence, Union
 
 from .shapes import Interval, Partition, Permutation
@@ -212,16 +212,31 @@ def _induced_perm(tabs: Sequence[Tableau], index: dict, f) -> Permutation:
     return Permutation(index[f(t)] + 1 for t in tabs)
 
 
+def _lifted_interval(interval, promotion, a: int, b: int) -> Permutation:
+    """xi_[a,b] composed from whole-domain permutations of one domain.
+
+    The tableau-level definitions, lifted: partial_evacuation applies the
+    bounded promotions pr_b, ..., pr_1 in turn, so xi_[1,b] = xi_[1,b-1] pr_b
+    with xi_[1,1] = pr_1 (the identity), and interval_evacuation gives
+    xi_[a,b] = xi_[1,b] xi_[1,b-a+1] xi_[1,b].  ``interval(a, b)`` and
+    ``promotion(k)`` are the cached builders of the domain.
+    """
+    if not 1 <= a <= b:
+        raise ValueError(f"invalid interval [{a},{b}]")
+    if a > 1:
+        outer = interval(1, b)
+        return outer * interval(1, b - a + 1) * outer
+    if b == 1:
+        return promotion(1)
+    return interval(1, b - 1) * promotion(b)
+
+
 @lru_cache(maxsize=None)
 def interval_perm(lam: tuple[int, ...], m: int, a: int, b: int) -> Permutation:
     """xi_[a,b] as a permutation of SSYT(lam, m)."""
-    tabs = ssyt_tuple(lam, m)
-    op = (
-        (lambda t: partial_evacuation(t, b))
-        if a == 1
-        else (lambda t: interval_evacuation(t, Interval(a, b)))
+    return _lifted_interval(
+        partial(interval_perm, lam, m), partial(promotion_perm, lam, m), a, b
     )
-    return _induced_perm(tabs, _ssyt_index(lam, m), op)
 
 
 @lru_cache(maxsize=None)
@@ -241,15 +256,18 @@ def promotion_perm(lam: tuple[int, ...], m: int, k: int) -> Permutation:
 
 
 @lru_cache(maxsize=None)
+def promotion_perm_syt(lam: tuple[int, ...], k: int) -> Permutation:
+    """Bounded promotion with window 1..k as a permutation of SYT(lam)."""
+    tabs = syt_tuple(lam)
+    return _induced_perm(tabs, _syt_index(lam), lambda t: bounded_promotion(t, k))
+
+
+@lru_cache(maxsize=None)
 def interval_perm_syt(lam: tuple[int, ...], a: int, b: int) -> Permutation:
     """xi_[a,b] as a permutation of SYT(lam)."""
-    tabs = syt_tuple(lam)
-    op = (
-        (lambda t: partial_evacuation(t, b))
-        if a == 1
-        else (lambda t: interval_evacuation(t, Interval(a, b)))
+    return _lifted_interval(
+        partial(interval_perm_syt, lam), partial(promotion_perm_syt, lam), a, b
     )
-    return _induced_perm(tabs, _syt_index(lam), op)
 
 
 @lru_cache(maxsize=None)

@@ -135,6 +135,13 @@ class Permutation:
         object.__setattr__(self, "images", images)
 
     @classmethod
+    def _unchecked(cls, images: tuple[int, ...]) -> "Permutation":
+        """Wrap an image tuple already known to be a bijection of 1..m."""
+        perm = object.__new__(cls)
+        object.__setattr__(perm, "images", images)
+        return perm
+
+    @classmethod
     def identity(cls, m: int) -> "Permutation":
         return cls(range(1, m + 1))
 
@@ -164,7 +171,9 @@ class Permutation:
         """(self * other)(x) = self(other(x)); other acts first."""
         if self.degree != other.degree:
             raise ValueError("degree mismatch")
-        return Permutation(self.images[o - 1] for o in other.images)
+        # A product of two bijections of 1..m is one: skip re-validation.
+        images = self.images
+        return Permutation._unchecked(tuple([images[o - 1] for o in other.images]))
 
     def inverse(self) -> "Permutation":
         inv = [0] * self.degree

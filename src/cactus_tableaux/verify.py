@@ -1,10 +1,15 @@
 """Batch verification driver.
 
-Fans independent (n, shape, check) jobs out to a worker pool and collects
-order-deterministic JSON-serialisable records.  The star relation gets
-special treatment: it is predicted to fail off hooks and (2,2), so those
-failures are recorded as EXPECTED-FAIL, and a pass there is itself a
-suite failure (UNEXPECTED-PASS).
+Every (n, shape, check) job of a run is grouped into one shard per
+(n, shape), so the domain of that shape and its cached generator
+permutations are built once, in the process that runs all of its checks.
+Shards go to a worker pool largest domain first, and the records come back
+sorted by (n, shape, check), so the output does not depend on the worker
+count.
+
+The star relation gets special treatment: it is predicted to fail off
+hooks and (2,2), so those failures are recorded as EXPECTED-FAIL, and a
+pass there is itself a suite failure (UNEXPECTED-PASS).
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .shapes import Partition, enumerate_partitions, is_hook
+from .shapes import Partition, conjugate, enumerate_partitions, is_hook
 from .group_actions import (
     RELATION_FAMILIES,
     RelationReport,
@@ -31,6 +36,8 @@ HARD_CAP = 10
 ALL_CHECKS = tuple(RELATION_FAMILIES) + ("main-theorem", "fold-equivariance")
 
 WORKERS_ENV = "CACTUS_TABLEAUX_WORKERS"
+
+Job = tuple[int, tuple[int, ...], str, int]  # (n, shape, check, seed)
 
 
 @dataclass(frozen=True)
@@ -90,7 +97,7 @@ def _shapes_for(config: RunConfig, n: int) -> list[Partition]:
     ]
 
 
-def _run_check(job: tuple[int, tuple[int, ...], str, int]) -> RelationReport:
+def _run_check(job: Job) -> RelationReport:
     n, shape, name, seed = job
     if name == "main-theorem":
         if shape == (2, 1):
@@ -103,6 +110,22 @@ def _run_check(job: tuple[int, tuple[int, ...], str, int]) -> RelationReport:
     return RELATION_FAMILIES[name](n, shape)
 
 
+def _run_shard(shard: list[Job]) -> list[RelationReport]:
+    """Run every check of one (n, shape) in this process."""
+    return [_run_check(job) for job in shard]
+
+
+def _ssyt_count(lam: tuple[int, ...], m: int) -> int:
+    """|SSYT(lam, m)| by the hook-content formula, without enumerating."""
+    cols = conjugate(Partition(lam))
+    num = den = 1
+    for r, length in enumerate(lam):
+        for c in range(length):
+            num *= m + c - r
+            den *= length - c + cols[c] - r - 1
+    return num // den
+
+
 def _classify(name: str, shape: tuple[int, ...], report: RelationReport) -> str:
     if name == "star" and not star_relation_expected(Partition(shape)):
         return "EXPECTED-FAIL" if report.status == "FAIL" else "UNEXPECTED-PASS"
@@ -110,23 +133,31 @@ def _classify(name: str, shape: tuple[int, ...], report: RelationReport) -> str:
 
 
 def batch_verify(config: RunConfig) -> Summary:
-    jobs: list[tuple[int, tuple[int, ...], str, int]] = []
+    shards: list[list[Job]] = []
     for n in range(config.n_min, config.n_max + 1):
         for shape in _shapes_for(config, n):
+            shard = []
             for name in config.relations:
                 if name in ("main-theorem", "fold-equivariance"):
                     if not is_hook(shape) or shape.size < 2:
                         continue
-                jobs.append((n, tuple(shape), name, config.seed))
+                shard.append((n, tuple(shape), name, config.seed))
+            if shard:
+                shards.append(shard)
+    shards.sort(key=lambda shard: -_ssyt_count(shard[0][1], shard[0][0]))
 
-    if config.workers > 1 and len(jobs) > 1:
+    if config.workers > 1 and len(shards) > 1:
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            reports = list(pool.map(_run_check, jobs))
+            reports = list(pool.map(_run_shard, shards))
     else:
-        reports = [_run_check(job) for job in jobs]
+        reports = [_run_shard(shard) for shard in shards]
 
     paired = sorted(
-        zip(jobs, reports), key=lambda jr: (jr[0][0], jr[0][1], jr[0][2])
+        zip(
+            (job for shard in shards for job in shard),
+            (report for shard in reports for report in shard),
+        ),
+        key=lambda jr: (jr[0][0], jr[0][1], jr[0][2]),
     )
     summary = Summary()
     for (n, shape, name, _), report in paired:

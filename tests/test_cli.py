@@ -81,6 +81,33 @@ def test_act_malformed_tableau_exits_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("enumerate", "syt"),
+        ("enumerate", "ssyt", "--shape", "[2,1]"),
+        ("enumerate", "partitions"),
+        ("verify", "relations", "--n", "3", "--shapes", "5"),
+        ("act", "--n", "3", "--word", "c[1,2]", "--tableau", '{"rows": 5}'),
+        ("enumerate", "patterns", "--shape", "[2,1]"),
+        ("decompose", "--shape", "5"),
+        ("kostka", "--mu", "[2]", "--nu", "2"),
+        ("enumerate", "ssyt", "--shape", "[2]", "--m", "2", "--content", "2"),
+        ("fold", "--tableau", '{"rows": [[1]], "inner": 1}'),
+    ],
+    ids=["syt-no-shape", "ssyt-no-m", "partitions-no-n", "shapes-not-list",
+         "rows-not-list", "patterns-no-m", "shape-not-list", "nu-not-list",
+         "content-not-list", "inner-not-list"],
+)
+def test_malformed_input_exits_2_with_one_line(capsys, argv):
+    code = dispatch(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_verify_relations_pass(capsys):
     code, lines = run(
         capsys,
@@ -143,6 +170,30 @@ def test_verify_out_file(tmp_path, capsys):
     assert code == 0
     lines = [json.loads(l) for l in out.read_text().splitlines()]
     assert lines[-1]["summary"]["failed"] == 0
+
+
+def test_verify_failed_run_keeps_out_file(tmp_path, capsys):
+    out = tmp_path / "report.jsonl"
+    out.write_text("earlier report\n")
+    code = dispatch(
+        ["verify", "relations", "--n", "3", "--relations", "bogus",
+         "--out", str(out)]
+    )
+    assert code == 2
+    assert out.read_text() == "earlier report\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["report.jsonl"]
+
+
+def test_verify_unwritable_out_exits_2(tmp_path, capsys):
+    out = tmp_path / "missing" / "report.jsonl"
+    code = dispatch(
+        ["verify", "relations", "--n", "3", "--relations", "star",
+         "--out", str(out)]
+    )
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: cannot write {out}: No such file or directory\n"
+    )
 
 
 def test_verify_deterministic_output(capsys):

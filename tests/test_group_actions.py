@@ -6,6 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cactus_tableaux.group_actions import (
+    _induced_perm,
+    _ssyt_index,
+    _syt_index,
     BKWord,
     CactusWord,
     act,
@@ -22,6 +25,8 @@ from cactus_tableaux.group_actions import (
     chi_translate,
     generated_group_order,
     generator_permutation,
+    interval_perm,
+    interval_perm_syt,
     paper_syt_ordering,
     parse_bk_word,
     parse_cactus_word,
@@ -32,9 +37,25 @@ from cactus_tableaux.group_actions import (
     star_relation_expected,
     word_perm,
 )
-from cactus_tableaux.shapes import Interval, Partition, Permutation
-from cactus_tableaux.sliding import bounded_promotion, evacuation
-from cactus_tableaux.tableaux import Tableau, enumerate_ssyt, enumerate_syt
+from cactus_tableaux.shapes import (
+    Interval,
+    Partition,
+    Permutation,
+    enumerate_partitions,
+)
+from cactus_tableaux.sliding import (
+    bounded_promotion,
+    evacuation,
+    interval_evacuation,
+    partial_evacuation,
+)
+from cactus_tableaux.tableaux import (
+    Tableau,
+    enumerate_ssyt,
+    enumerate_syt,
+    ssyt_tuple,
+    syt_tuple,
+)
 
 
 class TestParsing:
@@ -150,6 +171,36 @@ class TestWordPerms:
         perm = word_perm(BKWord(4, (("p", 2),)), lam, 4, "ssyt")
         for i, T in enumerate(tabs):
             assert tabs[perm(i + 1) - 1] == bounded_promotion(T, 3)
+
+
+class TestLiftedIntervalPerms:
+    """The composed xi_[a,b] against the tableau-level reference."""
+
+    @staticmethod
+    def reference(a, b):
+        if a == 1:
+            return lambda t: partial_evacuation(t, b)
+        return lambda t: interval_evacuation(t, Interval(a, b))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_equal_to_tableau_level_evacuations(self, n):
+        for lam in map(tuple, enumerate_partitions(n)):
+            ssyt, syt = ssyt_tuple(lam, n), syt_tuple(lam)
+            for a in range(1, n):
+                for b in range(a + 1, n + 1):
+                    op = self.reference(a, b)
+                    assert interval_perm(lam, n, a, b) == _induced_perm(
+                        ssyt, _ssyt_index(lam, n), op
+                    ), (lam, a, b)
+                    assert interval_perm_syt(lam, a, b) == _induced_perm(
+                        syt, _syt_index(lam), op
+                    ), (lam, a, b)
+
+    def test_rejects_empty_interval(self):
+        with pytest.raises(ValueError):
+            interval_perm((2, 1), 3, 2, 1)
+        with pytest.raises(ValueError):
+            interval_perm_syt((2, 1), 0, 2)
 
 
 class TestOrderings:

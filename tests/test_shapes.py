@@ -102,6 +102,22 @@ class TestPermutation:
         with pytest.raises(ValueError):
             Permutation((1, 3, 2)).restricted(2)
 
+    def test_product_rejects_degree_mismatch(self):
+        with pytest.raises(ValueError, match="degree mismatch"):
+            Permutation.identity(3) * Permutation.identity(4)
+
+    def test_constructor_still_validates(self):
+        with pytest.raises(ValueError):
+            Permutation((1, 1, 2))
+
+
+@given(st.permutations(list(range(1, 9))), st.permutations(list(range(1, 9))))
+def test_product_is_a_bijection(p, q):
+    # products skip re-validation, so check the result is one by hand
+    product = Permutation(p) * Permutation(q)
+    assert sorted(product.images) == list(range(1, 9))
+    assert all(product(x) == p[q[x - 1] - 1] for x in range(1, 9))
+
 
 @given(st.permutations(list(range(1, 7))))
 def test_transposition_word_reconstructs(images):

@@ -2,10 +2,13 @@
 
 import pytest
 
+from cactus_tableaux.shapes import enumerate_partitions
+from cactus_tableaux.tableaux import enumerate_ssyt
 from cactus_tableaux.verify import (
     ALL_CHECKS,
     HARD_CAP,
     RunConfig,
+    _ssyt_count,
     batch_verify,
     default_workers,
 )
@@ -108,11 +111,23 @@ def test_deterministic_records():
 
 
 def test_worker_pool_matches_serial():
-    cfg_serial = make_config(n_min=3, n_max=4, relations=("xi-relations",))
-    cfg_pool = make_config(
-        n_min=3, n_max=4, relations=("xi-relations",), workers=2
+    # every check of a shape runs in one shard, so shards hold several jobs
+    cfg_serial = make_config(n_min=3, n_max=4, relations=ALL_CHECKS)
+    cfg_pool = make_config(n_min=3, n_max=4, relations=ALL_CHECKS, workers=2)
+    serial = batch_verify(cfg_serial)
+    assert serial.records == batch_verify(cfg_pool).records
+    assert serial.checked > len(enumerate_partitions(3)) + len(
+        enumerate_partitions(4)
     )
-    assert batch_verify(cfg_serial).records == batch_verify(cfg_pool).records
+
+
+def test_hook_content_count_matches_enumeration():
+    for n in range(1, 6):
+        for lam in enumerate_partitions(n):
+            for m in range(1, n + 2):
+                assert _ssyt_count(tuple(lam), m) == len(
+                    enumerate_ssyt(lam, m)
+                ), (lam, m)
 
 
 def test_main_theorem_jobs_only_run_on_hooks():
