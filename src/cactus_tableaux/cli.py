@@ -128,7 +128,6 @@ def _make_config(args) -> RunConfig:
         workers=args.workers,
         seed=args.seed,
         allow_large=args.allow_large,
-        out=args.out,
     )
 
 

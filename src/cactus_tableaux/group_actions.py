@@ -8,10 +8,12 @@ enumerated tableau set.
 
 from __future__ import annotations
 
+import itertools
+import operator
 import random
 import re
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache, reduce
 from typing import Iterable, Optional, Sequence, Union
 
 from .shapes import Interval, Partition, Permutation
@@ -199,115 +201,72 @@ def pi_ij_image(w: CactusWord, i: int, j: int) -> Permutation:
 
 
 @lru_cache(maxsize=None)
-def _ssyt_index(lam: tuple[int, ...], m: int) -> dict[Tableau, int]:
-    return {t: i for i, t in enumerate(ssyt_tuple(lam, m))}
+def _index(lam: tuple[int, ...], m: Optional[int]) -> dict[Tableau, int]:
+    """Positions in the domain (lam, m): SSYT(lam, m), or SYT(lam) if m is None."""
+    tabs = syt_tuple(lam) if m is None else ssyt_tuple(lam, m)
+    return {t: i for i, t in enumerate(tabs)}
+
+
+def _induced_perm(lam: tuple[int, ...], m: Optional[int], f) -> Permutation:
+    """The permutation the tableau map f induces on the domain (lam, m)."""
+    index = _index(lam, m)
+    return Permutation(index[f(t)] + 1 for t in index)
 
 
 @lru_cache(maxsize=None)
-def _syt_index(lam: tuple[int, ...]) -> dict[Tableau, int]:
-    return {t: i for i, t in enumerate(syt_tuple(lam))}
-
-
-def _induced_perm(tabs: Sequence[Tableau], index: dict, f) -> Permutation:
-    return Permutation(index[f(t)] + 1 for t in tabs)
-
-
-def _lifted_interval(interval, promotion, a: int, b: int) -> Permutation:
-    """xi_[a,b] composed from whole-domain permutations of one domain.
+def interval_perm(
+    lam: tuple[int, ...], m: Optional[int], a: int, b: int
+) -> Permutation:
+    """xi_[a,b] as a permutation of the domain (lam, m).
 
     The tableau-level definitions, lifted: partial_evacuation applies the
     bounded promotions pr_b, ..., pr_1 in turn, so xi_[1,b] = xi_[1,b-1] pr_b
     with xi_[1,1] = pr_1 (the identity), and interval_evacuation gives
-    xi_[a,b] = xi_[1,b] xi_[1,b-a+1] xi_[1,b].  ``interval(a, b)`` and
-    ``promotion(k)`` are the cached builders of the domain.
+    xi_[a,b] = xi_[1,b] xi_[1,b-a+1] xi_[1,b].
     """
     if not 1 <= a <= b:
         raise ValueError(f"invalid interval [{a},{b}]")
     if a > 1:
-        outer = interval(1, b)
-        return outer * interval(1, b - a + 1) * outer
+        outer = interval_perm(lam, m, 1, b)
+        return outer * interval_perm(lam, m, 1, b - a + 1) * outer
     if b == 1:
-        return promotion(1)
-    return interval(1, b - 1) * promotion(b)
+        return promotion_perm(lam, m, 1)
+    return interval_perm(lam, m, 1, b - 1) * promotion_perm(lam, m, b)
 
 
 @lru_cache(maxsize=None)
-def interval_perm(lam: tuple[int, ...], m: int, a: int, b: int) -> Permutation:
-    """xi_[a,b] as a permutation of SSYT(lam, m)."""
-    return _lifted_interval(
-        partial(interval_perm, lam, m), partial(promotion_perm, lam, m), a, b
-    )
+def bk_t_perm(lam: tuple[int, ...], m: Optional[int], k: int) -> Permutation:
+    """t_k as a permutation of the domain (lam, m)."""
+    return _induced_perm(lam, m, lambda t: strip_swap(t, k))
 
 
 @lru_cache(maxsize=None)
-def bk_t_perm(lam: tuple[int, ...], m: int, k: int) -> Permutation:
-    """t_k as a permutation of SSYT(lam, m)."""
-    tabs = ssyt_tuple(lam, m)
-    return _induced_perm(tabs, _ssyt_index(lam, m), lambda t: strip_swap(t, k))
-
-
-@lru_cache(maxsize=None)
-def promotion_perm(lam: tuple[int, ...], m: int, k: int) -> Permutation:
-    """Bounded promotion with window 1..k as a permutation of SSYT(lam, m)."""
-    tabs = ssyt_tuple(lam, m)
-    return _induced_perm(
-        tabs, _ssyt_index(lam, m), lambda t: bounded_promotion(t, k)
-    )
-
-
-@lru_cache(maxsize=None)
-def promotion_perm_syt(lam: tuple[int, ...], k: int) -> Permutation:
-    """Bounded promotion with window 1..k as a permutation of SYT(lam)."""
-    tabs = syt_tuple(lam)
-    return _induced_perm(tabs, _syt_index(lam), lambda t: bounded_promotion(t, k))
-
-
-@lru_cache(maxsize=None)
-def interval_perm_syt(lam: tuple[int, ...], a: int, b: int) -> Permutation:
-    """xi_[a,b] as a permutation of SYT(lam)."""
-    return _lifted_interval(
-        partial(interval_perm_syt, lam), partial(promotion_perm_syt, lam), a, b
-    )
-
-
-@lru_cache(maxsize=None)
-def bk_t_perm_syt(lam: tuple[int, ...], k: int) -> Permutation:
-    """t_k as a permutation of SYT(lam)."""
-    tabs = syt_tuple(lam)
-    return _induced_perm(tabs, _syt_index(lam), lambda t: strip_swap(t, k))
+def promotion_perm(lam: tuple[int, ...], m: Optional[int], k: int) -> Permutation:
+    """Bounded promotion with window 1..k as a permutation of (lam, m)."""
+    return _induced_perm(lam, m, lambda t: bounded_promotion(t, k))
 
 
 def word_perm(
     w: Word, lam: Partition, m: Optional[int] = None, domain: str = "ssyt"
 ) -> Permutation:
-    """The permutation a word induces on SSYT(lam, m) or SYT(lam)."""
+    """The permutation a word induces on SSYT(lam, m) or SYT(lam).
+
+    On SSYT, m defaults to the rank of the word.
+    """
     lam = tuple(Partition(lam))
-    if domain == "ssyt":
-        if m is None:
-            m = w.n
-        size = len(ssyt_tuple(lam, m))
-    elif domain == "syt":
-        size = len(syt_tuple(lam))
+    if domain == "syt":
+        m = None
+    elif domain == "ssyt":
+        m = w.n if m is None else m
     else:
         raise ValueError(f"unknown domain {domain!r}")
-    perm = Permutation.identity(size)
     if isinstance(w, CactusWord):
-        for a, b in w.factors:
-            factor = (
-                interval_perm(lam, m, a, b)
-                if domain == "ssyt"
-                else interval_perm_syt(lam, a, b)
-            )
-            perm = perm * factor
+        factors = [interval_perm(lam, m, a, b) for a, b in w.factors]
     else:
-        for k in w.expand():
-            factor = (
-                bk_t_perm(lam, m, k)
-                if domain == "ssyt"
-                else bk_t_perm_syt(lam, k)
-            )
-            perm = perm * factor
-    return perm
+        factors = [bk_t_perm(lam, m, k) for k in w.expand()]
+    if not factors:
+        return Permutation.identity(len(_index(lam, m)))
+    return reduce(operator.mul, factors)
 
 
 # ---------------------------------------------------------------------------
@@ -453,27 +412,29 @@ def _intervals(n: int) -> list[Interval]:
     return [Interval(a, b) for a in range(1, n) for b in range(a + 1, n + 1)]
 
 
+def _interval_pairs(n: int) -> Iterable[tuple[Interval, Interval]]:
+    """Ordered pairs (J, K) of generator intervals, lexicographic in J, then K."""
+    return itertools.product(_intervals(n), repeat=2)
+
+
+def _nested(J: Interval, K: Interval) -> bool:
+    return J.a <= K.a and K.b <= J.b
+
+
+def _reflect(J: Interval, K: Interval) -> Interval:
+    """K reflected inside J."""
+    return Interval(J.a + J.b - K.b, J.a + J.b - K.a)
+
+
 def cactus_defining_pairs(n: int) -> list[tuple[str, CactusWord, CactusWord]]:
     """Both sides of every defining relation, as words."""
-    pairs = []
     e = _cw(n)
-    for J in _intervals(n):
-        pairs.append((f"{J}^2", _cw(n, J, J), e))
-    for J in _intervals(n):
-        for K in _intervals(n):
-            if J.b < K.a or K.b < J.a:
-                pairs.append(
-                    (f"{J}{K} disjoint", _cw(n, J, K), _cw(n, K, J))
-                )
-            elif J.a <= K.a and K.b <= J.b and J != K:
-                refl = Interval(J.a + J.b - K.b, J.a + J.b - K.a)
-                pairs.append(
-                    (
-                        f"{J}{K} nested",
-                        _cw(n, J, K),
-                        _cw(n, refl, J),
-                    )
-                )
+    pairs = [(f"{J}^2", _cw(n, J, J), e) for J in _intervals(n)]
+    for J, K in _interval_pairs(n):
+        if J.b < K.a or K.b < J.a:
+            pairs.append((f"{J}{K} disjoint", _cw(n, J, K), _cw(n, K, J)))
+        elif _nested(J, K) and J != K:
+            pairs.append((f"{J}{K} nested", _cw(n, J, K), _cw(n, _reflect(J, K), J)))
     return pairs
 
 
@@ -485,29 +446,20 @@ def check_cactus_defining(n: int, shape: tuple[int, ...]) -> RelationReport:
 
 def check_xi_relations(n: int, shape: tuple[int, ...]) -> RelationReport:
     """The two interval-involution relations: disjoint and nesting."""
-    pairs = []
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            for k in range(j + 2, n + 1):
-                for l in range(k + 1, n + 1):
-                    pairs.append(
-                        (
-                            f"xi[{i},{j}] xi[{k},{l}] commute",
-                            _cw(n, (i, j), (k, l)),
-                            _cw(n, (k, l), (i, j)),
-                        )
-                    )
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            for k in range(i, j + 1):
-                for l in range(k + 1, j + 1):
-                    pairs.append(
-                        (
-                            f"xi[{i},{j}] xi[{k},{l}] xi[{i},{j}]",
-                            _cw(n, (i, j), (k, l), (i, j)),
-                            _cw(n, (i + j - l, i + j - k)),
-                        )
-                    )
+    pairs = [
+        (f"xi[{J.a},{J.b}] xi[{K.a},{K.b}] commute", _cw(n, J, K), _cw(n, K, J))
+        for J, K in _interval_pairs(n)
+        if J.b + 1 < K.a
+    ]
+    pairs += [
+        (
+            f"xi[{J.a},{J.b}] xi[{K.a},{K.b}] xi[{J.a},{J.b}]",
+            _cw(n, J, K, J),
+            _cw(n, _reflect(J, K)),
+        )
+        for J, K in _interval_pairs(n)
+        if _nested(J, K)
+    ]
     return _check_word_pairs("xi-relations", n, shape, pairs, "ssyt")
 
 

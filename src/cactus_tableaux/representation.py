@@ -31,7 +31,7 @@ from .tableaux import (
     permutation_act_tabloid,
     syt_tuple,
 )
-from .group_actions import RelationReport, bk_t_perm_syt, interval_perm_syt
+from .group_actions import RelationReport, bk_t_perm, interval_perm
 
 CycleType = Partition
 
@@ -213,7 +213,7 @@ def _syt_generator_perms(lam: Partition) -> list[Permutation]:
     """Permutations of SYT(lam) for t_2, ..., t_{n-1} (index i -> t_{i+1})."""
     lam = tuple(Partition(lam))
     n = sum(lam)
-    return [bk_t_perm_syt(lam, i + 1) for i in range(1, n - 1)]
+    return [bk_t_perm(lam, None, i + 1) for i in range(1, n - 1)]
 
 
 def _symmetric_group_image(lam: Partition, w: Permutation) -> Permutation:
@@ -229,7 +229,10 @@ def _symmetric_group_image(lam: Partition, w: Permutation) -> Permutation:
 def schutzenberger_perm_character(lam: Partition) -> dict[CycleType, int]:
     """Fixed-point character of the hook-shape tableau action of S_{n-1}."""
     lam = Partition(lam)
-    hook = HookShape.from_partition(lam)
+    # The hook guard: it raises ValueError off hooks, where the t_k give no
+    # S_{n-1} action and decompose_schutzenberger would otherwise end in an
+    # ArithmeticError on a non-integral multiplicity.
+    HookShape.from_partition(lam)
     if lam == Partition((2, 1)):
         raise ValueError("(2,1) is the outlying case; no S_{n-1} action")
     n = lam.size
@@ -310,9 +313,9 @@ def verify_main_theorem(lam: Partition) -> RelationReport:
 def verify_two_one_case() -> RelationReport:
     """The outlying (2,1) module: c[1,3] swaps the basis, c[1,2]/c[2,3] fix it."""
     lam = (2, 1)
-    swap = interval_perm_syt(lam, 1, 3)
-    fix12 = interval_perm_syt(lam, 1, 2)
-    fix23 = interval_perm_syt(lam, 2, 3)
+    swap = interval_perm(lam, None, 1, 3)
+    fix12 = interval_perm(lam, None, 1, 2)
+    fix23 = interval_perm(lam, None, 2, 3)
     ok = (
         swap == Permutation((2, 1))
         and fix12.is_identity()
@@ -350,7 +353,7 @@ def verify_fold_equivariance(lam: Partition) -> RelationReport:
             {"reason": "fold is not a bijection"},
         )
     for i in range(1, n - 1):
-        perm = bk_t_perm_syt(tuple(lam), i + 1)
+        perm = bk_t_perm(tuple(lam), None, i + 1)
         s_i = Permutation.transposition(n - 1, i, i + 1)
         for j, t in enumerate(tabs):
             lhs = folded[perm(j + 1) - 1]

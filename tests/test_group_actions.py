@@ -7,8 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from cactus_tableaux.group_actions import (
     _induced_perm,
-    _ssyt_index,
-    _syt_index,
     BKWord,
     CactusWord,
     act,
@@ -26,7 +24,6 @@ from cactus_tableaux.group_actions import (
     generated_group_order,
     generator_permutation,
     interval_perm,
-    interval_perm_syt,
     paper_syt_ordering,
     parse_bk_word,
     parse_cactus_word,
@@ -172,6 +169,14 @@ class TestWordPerms:
         for i, T in enumerate(tabs):
             assert tabs[perm(i + 1) - 1] == bounded_promotion(T, 3)
 
+    @pytest.mark.parametrize("domain", ["ssyt", "syt"])
+    @pytest.mark.parametrize("word", [CactusWord(4, ()), BKWord(4, ())])
+    def test_empty_word_is_identity_of_the_domain(self, word, domain):
+        lam = (2, 1, 1)
+        tabs = ssyt_tuple(lam, 4) if domain == "ssyt" else syt_tuple(lam)
+        perm = word_perm(word, lam, 4, domain)
+        assert perm == Permutation.identity(len(tabs))
+
 
 class TestLiftedIntervalPerms:
     """The composed xi_[a,b] against the tableau-level reference."""
@@ -185,22 +190,19 @@ class TestLiftedIntervalPerms:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_equal_to_tableau_level_evacuations(self, n):
         for lam in map(tuple, enumerate_partitions(n)):
-            ssyt, syt = ssyt_tuple(lam, n), syt_tuple(lam)
             for a in range(1, n):
                 for b in range(a + 1, n + 1):
                     op = self.reference(a, b)
-                    assert interval_perm(lam, n, a, b) == _induced_perm(
-                        ssyt, _ssyt_index(lam, n), op
-                    ), (lam, a, b)
-                    assert interval_perm_syt(lam, a, b) == _induced_perm(
-                        syt, _syt_index(lam), op
-                    ), (lam, a, b)
+                    for m in (n, None):
+                        assert interval_perm(lam, m, a, b) == _induced_perm(
+                            lam, m, op
+                        ), (lam, m, a, b)
 
     def test_rejects_empty_interval(self):
         with pytest.raises(ValueError):
             interval_perm((2, 1), 3, 2, 1)
         with pytest.raises(ValueError):
-            interval_perm_syt((2, 1), 0, 2)
+            interval_perm((2, 1), None, 0, 2)
 
 
 class TestOrderings:

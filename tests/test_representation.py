@@ -132,6 +132,12 @@ class TestSchutzenbergerModule:
         with pytest.raises(ValueError):
             schutzenberger_perm_character(Partition((2, 1)))
 
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 2), (3, 2, 1)])
+    def test_decompose_rejects_non_hooks(self, shape):
+        # without the hook guard these end in an ArithmeticError
+        with pytest.raises(ValueError, match="not a hook"):
+            decompose_schutzenberger(shape)
+
     def test_decompose_cited_examples(self):
         assert decompose_schutzenberger(Partition((4, 1))).nonzero() == {
             Partition((4,)): 1,

@@ -1,7 +1,11 @@
 """The batch verification driver."""
 
+import io
+from pathlib import Path
+
 import pytest
 
+from cactus_tableaux.cli import _emit_summary
 from cactus_tableaux.shapes import enumerate_partitions
 from cactus_tableaux.tableaux import enumerate_ssyt
 from cactus_tableaux.verify import (
@@ -137,3 +141,36 @@ def test_main_theorem_jobs_only_run_on_hooks():
     shapes = {tuple(r["shape"]) for r in summary.records}
     assert (2, 2) not in shapes
     assert summary.failed == 0
+
+
+def test_fold_equivariance_jobs_only_run_on_hooks():
+    summary = batch_verify(
+        make_config(n_min=1, n_max=4, relations=("fold-equivariance",))
+    )
+    shapes = {tuple(r["shape"]) for r in summary.records}
+    # (1,) is a hook of size 1, and (2, 2) is no hook
+    assert shapes == {
+        (2,), (1, 1), (3,), (2, 1), (1, 1, 1), (4,), (3, 1), (2, 1, 1), (1, 1, 1, 1)
+    }
+    assert summary.failed == 0
+
+
+def test_two_one_main_theorem_record():
+    summary = batch_verify(
+        make_config(shapes=((2, 1),), relations=("main-theorem",))
+    )
+    assert summary.records == [
+        {"relation": "two-one-case", "n": 3, "shape": [2, 1], "status": "PASS"}
+    ]
+
+
+def test_records_match_the_committed_smoke_run():
+    # The full record stream of an all-checks run, rendered as the CLI
+    # renders it, against the output the benchmark's smoke test expects.
+    stream = io.StringIO()
+    _emit_summary(batch_verify(RunConfig(n_min=2, n_max=4)), stream)
+    expected = (
+        Path(__file__).resolve().parent.parent
+        / "perfbench" / "expected" / "smoke-relations-n4.jsonl"
+    )
+    assert stream.getvalue().encode() == expected.read_bytes()
