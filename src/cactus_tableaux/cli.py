@@ -75,7 +75,13 @@ def _cmd_enumerate(args, stream) -> int:
         for lam in enumerate_partitions(_required(args.n, "--n", command)):
             _emit(stream, list(lam))
         return 0
-    shape = _parse_shape(_required(args.shape, "--shape", command))
+    text = _required(args.shape, "--shape", command)
+    if args.what == "tabloids":
+        # Tabloids are indexed by compositions, not only by partitions.
+        for p in enumerate_tabloids(Composition(_int_list(text, "shape"))):
+            _emit(stream, p.to_json())
+        return 0
+    shape = _parse_shape(text)
     if args.what in ("ssyt", "patterns"):
         _required(args.m, "--m", command)
     if args.what == "syt":
@@ -87,9 +93,6 @@ def _cmd_enumerate(args, stream) -> int:
         )
         for t in enumerate_ssyt(shape, args.m, content_filter=content):
             _emit(stream, t.to_json())
-    elif args.what == "tabloids":
-        for p in enumerate_tabloids(Composition(json.loads(args.shape))):
-            _emit(stream, p.to_json())
     elif args.what == "patterns":
         for t in enumerate_ssyt(shape, args.m):
             _emit(stream, to_pattern(t, args.m).to_json())

@@ -31,7 +31,13 @@ from .tableaux import (
     permutation_act_tabloid,
     syt_tuple,
 )
-from .group_actions import RelationReport, bk_t_perm, interval_perm
+from .group_actions import (
+    BKWord,
+    RelationReport,
+    bk_t_perm,
+    interval_perm,
+    word_perm,
+)
 
 CycleType = Partition
 
@@ -209,23 +215,6 @@ def class_representative(rho: CycleType) -> Permutation:
     return Permutation(images)
 
 
-def _syt_generator_perms(lam: Partition) -> list[Permutation]:
-    """Permutations of SYT(lam) for t_2, ..., t_{n-1} (index i -> t_{i+1})."""
-    lam = tuple(Partition(lam))
-    n = sum(lam)
-    return [bk_t_perm(lam, None, i + 1) for i in range(1, n - 1)]
-
-
-def _symmetric_group_image(lam: Partition, w: Permutation) -> Permutation:
-    """Image of w in the permutation action on SYT(lam), via s_i -> t_{i+1}."""
-    perms = _syt_generator_perms(lam)
-    degree = len(syt_tuple(tuple(Partition(lam))))
-    image = Permutation.identity(degree)
-    for i in transposition_word(w):
-        image = image * perms[i - 1]
-    return image
-
-
 def schutzenberger_perm_character(lam: Partition) -> dict[CycleType, int]:
     """Fixed-point character of the hook-shape tableau action of S_{n-1}."""
     lam = Partition(lam)
@@ -238,7 +227,10 @@ def schutzenberger_perm_character(lam: Partition) -> dict[CycleType, int]:
     n = lam.size
     out = {}
     for rho in enumerate_partitions(n - 1):
-        image = _symmetric_group_image(lam, class_representative(rho))
+        # s_i acts as t_{i+1}.
+        rep = class_representative(rho)
+        word = BKWord(n, tuple(("t", i + 1) for i in transposition_word(rep)))
+        image = word_perm(word, lam, domain="syt")
         out[rho] = sum(
             1 for x in range(1, image.degree + 1) if image(x) == x
         )
@@ -255,12 +247,10 @@ def decompose_schutzenberger(lam: Partition) -> MultiplicityVector:
     char = schutzenberger_perm_character(lam)
     table = character_table(n - 1)
     order = math.factorial(n - 1)
+    weights = [class_size(rho) * char[rho] for rho in table.partitions]
     mults = []
-    for mu in table.partitions:
-        total = sum(
-            class_size(rho) * table.value(mu, rho) * char[rho]
-            for rho in table.partitions
-        )
+    for mu, values in zip(table.partitions, table.values):
+        total = sum(w * v for w, v in zip(weights, values))
         if total % order != 0 or total < 0:
             raise ArithmeticError(
                 f"non-integral or negative multiplicity for {mu}: {total}/{order}"

@@ -8,7 +8,6 @@ keeps columns strict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .shapes import Interval
@@ -16,14 +15,6 @@ from .tableaux import Tableau
 
 Cell = tuple[int, int]
 ChoicePolicy = Callable[[list[Cell]], Cell]
-
-
-@dataclass(frozen=True)
-class SlideTrace:
-    """Record of one full rectification: boxes chosen and hole moves."""
-
-    chosen: tuple[Cell, ...]
-    steps: tuple[tuple[Cell, Cell], ...]
 
 
 def _southeast_most(boxes: list[Cell]) -> Cell:
@@ -54,9 +45,7 @@ def _movable_boxes(inner: list[int]) -> list[Cell]:
     return boxes
 
 
-def _slide_hole(
-    grid: dict[Cell, int], start: Cell, steps: Optional[list] = None
-) -> Cell:
+def _slide_hole(grid: dict[Cell, int], start: Cell) -> Cell:
     """Slide one hole from ``start`` until no east/south neighbour remains."""
     r, c = start
     while True:
@@ -69,40 +58,28 @@ def _slide_hole(
         else:
             target = (r + 1, c)
         grid[(r, c)] = grid.pop(target)
-        if steps is not None:
-            steps.append(((r, c), target))
         r, c = target
 
 
-def jdt_rectify_traced(
-    T: Tableau, choice_policy: Optional[ChoicePolicy] = None
-) -> tuple[Tableau, SlideTrace]:
-    """Rectify a semistandard skew tableau, returning the slide trace."""
+def jdt_rectify(T: Tableau, choice_policy: Optional[ChoicePolicy] = None) -> Tableau:
+    """Rectify a semistandard skew tableau to a straight one."""
     if not T.is_semistandard():
         raise ValueError("jdt requires a semistandard tableau")
     policy = choice_policy or _southeast_most
     grid = _to_grid(T)
     inner = list(T.inner)
-    chosen: list[Cell] = []
-    steps: list[tuple[Cell, Cell]] = []
     while any(inner):
         boxes = _movable_boxes(inner)
         box = policy(sorted(boxes))
         if box not in boxes:
             raise ValueError(f"choice policy returned non-movable box {box}")
-        chosen.append(box)
         inner[box[0]] -= 1
-        _slide_hole(grid, box, steps)
+        _slide_hole(grid, box)
     while inner and inner[-1] == 0:
         inner.pop()
     out = _grid_to_tableau(grid, inner)
     assert out.is_straight and out.is_semistandard()
-    return out, SlideTrace(chosen=tuple(chosen), steps=tuple(steps))
-
-
-def jdt_rectify(T: Tableau, choice_policy: Optional[ChoicePolicy] = None) -> Tableau:
-    """Rectify a semistandard skew tableau to a straight one."""
-    return jdt_rectify_traced(T, choice_policy)[0]
+    return out
 
 
 def jdt_all_rectifications(T: Tableau) -> set[Tableau]:
@@ -140,46 +117,26 @@ def jdt_all_rectifications(T: Tableau) -> set[Tableau]:
 
 
 def promotion(T: Tableau, m: int) -> Tableau:
-    """One promotion step on a straight semistandard tableau.
+    """One promotion step on a straight semistandard tableau over 1..m.
 
-    Boxes labelled 1 become holes, the holes slide out by jdt, surviving
-    labels drop by one, and the vacated outer cells are relabelled m.
+    The whole-alphabet case of :func:`bounded_promotion`: every entry lies
+    in the window, so every vacated outer cell is relabelled m.
     """
-    if not T.is_straight:
-        raise ValueError("promotion requires a straight shape")
-    if not T.is_semistandard():
-        raise ValueError("promotion requires a semistandard tableau")
     if T.max_entry > m:
         raise ValueError(f"entries exceed alphabet {m}")
-    lam = T.outer
-    ones = sum(1 for e in T.reading_word() if e == 1)
-    if ones:
-        # In a straight SSYT all 1s form a prefix of the first row.
-        assert T.rows and all(e == 1 for e in T.rows[0][:ones])
-        skew = Tableau(
-            rows=(T.rows[0][ones:],) + T.rows[1:], inner=(ones,)
-        )
-    else:
-        skew = T
-    rect = jdt_rectify(skew)
-    sigma = rect.outer
-    new_rows = []
-    for r in range(len(lam)):
-        kept = rect.rows[r] if r < len(rect.rows) else ()
-        new_rows.append(
-            tuple(e - 1 for e in kept) + (m,) * (lam[r] - len(kept))
-        )
-    out = Tableau(rows=tuple(new_rows))
-    assert out.outer == lam and out.is_semistandard()
-    assert sigma.size + ones == lam.size
-    return out
+    return bounded_promotion(T, m)
 
 
 def bounded_promotion(T: Tableau, k: int) -> Tableau:
     """Promotion applied to the sub-tableau of entries <= k, in place.
 
-    Entries greater than k are untouched.  A k beyond the largest entry
-    present is still well defined: the window is the whole tableau.
+    One jeu-de-taquin pass: the cells with entries <= k form the grid, and
+    cells with larger entries stay out of it, so no hole slides through
+    them.  The 1s of a straight SSYT are a prefix of row 0; they become
+    holes that slide out rightmost first, each the only removable inner
+    corner when it moves.  Only then do the surviving entries drop by one
+    and the vacated cells take k.  A k beyond the largest entry present is
+    still well defined: the window is the whole tableau.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -187,18 +144,16 @@ def bounded_promotion(T: Tableau, k: int) -> Tableau:
         raise ValueError("bounded promotion requires a straight shape")
     if not T.is_semistandard():
         raise ValueError("bounded promotion requires a semistandard tableau")
-    prefixes = tuple(
-        tuple(e for e in row if e <= k) for row in T.rows
-    )
-    sub = Tableau(rows=prefixes)
-    sub = promotion(sub, k)
-    new_rows = []
-    for r, row in enumerate(T.rows):
-        head = sub.rows[r] if r < len(sub.rows) else ()
-        tail = row[len(prefixes[r]):]
-        assert len(head) == len(prefixes[r])
-        new_rows.append(head + tail)
-    out = Tableau(rows=tuple(new_rows))
+    # The 1s, a prefix of row 0, are the holes and stay out of the grid.
+    grid = {(r, c): e for r, c, e in T.cells() if 1 < e <= k}
+    ones = T.rows[0].count(1) if T.rows else 0
+    vacated = [_slide_hole(grid, (0, c)) for c in reversed(range(ones))]
+    rows = [list(row) for row in T.rows]
+    for (r, c), e in grid.items():
+        rows[r][c] = e - 1
+    for r, c in vacated:
+        rows[r][c] = k
+    out = Tableau(rows=tuple(map(tuple, rows)))
     assert out.is_semistandard()
     return out
 
@@ -239,9 +194,7 @@ def interval_evacuation(T: Tableau, J: Interval) -> Tableau:
 
 
 __all__ = [
-    "SlideTrace",
     "jdt_rectify",
-    "jdt_rectify_traced",
     "jdt_all_rectifications",
     "promotion",
     "bounded_promotion",

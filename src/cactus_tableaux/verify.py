@@ -130,9 +130,9 @@ def _shapes_for(config: RunConfig, n: int) -> list[Partition]:
         return enumerate_partitions(n)
     if config.shapes == "hooks":
         return [lam for lam in enumerate_partitions(n) if is_hook(lam)]
-    return [
-        Partition(s) for s in config.shapes if Partition(s).size == n
-    ]
+    # Each distinct shape once, in first-seen order ([2,1,0] is [2,1]).
+    shapes = dict.fromkeys(Partition(s) for s in config.shapes)
+    return [lam for lam in shapes if lam.size == n]
 
 
 def _run_check(job: Job) -> RelationReport:

@@ -2,8 +2,9 @@
 
 Nothing here calls into the character or evacuation code paths it is used
 to check: Kostka numbers are counted by horizontal-strip chains,
-permutation-module characters by distributing cycles into rows, and
-evacuation by the rotate-complement-rectify construction.
+permutation-module characters by distributing cycles into rows,
+evacuation by the rotate-complement-rectify construction, and bounded
+promotion by rectifying a skew tableau.
 """
 
 from __future__ import annotations
@@ -139,6 +140,29 @@ def evacuation_oracle(T: Tableau, m: int) -> Tableau:
         inner.append(width - len(src))
     skew = Tableau(rows=tuple(rows), inner=tuple(inner))
     return jdt_rectify(skew)
+
+
+# ---------------------------------------------------------------------------
+# Bounded promotion by skew rectification.
+
+
+def promotion_oracle(T: Tableau, k: int) -> Tableau:
+    """Promotion on the entries <= k of a straight SSYT, the textbook way.
+
+    The 1s become the inner shape of a skew tableau of the other entries
+    <= k, which is rectified; the survivors drop by one, the vacated cells
+    take k, and the entries > k are reattached after them.
+    """
+    window = [tuple(e for e in row if e <= k) for row in T.rows]
+    ones = sum(1 for row in window for e in row if e == 1)
+    skew = [row[ones:] if r == 0 else row for r, row in enumerate(window)]
+    rect = jdt_rectify(Tableau(rows=tuple(skew), inner=(ones,)))
+    rows = []
+    for r, row in enumerate(T.rows):
+        kept = tuple(e - 1 for e in rect.rows[r]) if r < len(rect.rows) else ()
+        filled = (k,) * (len(window[r]) - len(kept))
+        rows.append(kept + filled + row[len(window[r]):])
+    return Tableau(rows=tuple(rows))
 
 
 # ---------------------------------------------------------------------------

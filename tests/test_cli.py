@@ -41,6 +41,13 @@ def test_enumerate_tabloids(capsys):
     assert len(lines) == 6
 
 
+def test_enumerate_tabloids_of_a_composition(capsys):
+    code, lines = run(capsys, "enumerate", "tabloids", "--shape", "[1,2]")
+    assert code == 0
+    assert len(lines) == 3
+    assert all(line["shape"] == [1, 2] for line in lines)
+
+
 def test_enumerate_patterns(capsys):
     code, lines = run(
         capsys, "enumerate", "patterns", "--shape", "[1]", "--m", "2"

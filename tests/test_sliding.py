@@ -9,13 +9,13 @@ from cactus_tableaux.sliding import (
     interval_evacuation,
     jdt_all_rectifications,
     jdt_rectify,
-    jdt_rectify_traced,
     partial_evacuation,
     promotion,
 )
 from cactus_tableaux.tableaux import Tableau, content, enumerate_ssyt, enumerate_syt
+from cactus_tableaux import enumerate_partitions
 
-from helpers import evacuation_oracle, skew_fillings, subpartitions
+from helpers import evacuation_oracle, promotion_oracle, skew_fillings, subpartitions
 
 PAPER_T = Tableau(((1, 1, 2, 3), (2, 2, 3), (4, 4), (5,)))
 
@@ -37,11 +37,6 @@ class TestJdt:
         with pytest.raises(ValueError):
             jdt_rectify(Tableau(rows=((2, 1),), inner=(0,)))
 
-    def test_trace_records_every_inner_cell(self):
-        skew = Tableau(rows=((1, 2, 2), (2, 4, 4, 5), (2, 3)), inner=(2, 1))
-        _, trace = jdt_rectify_traced(skew)
-        assert len(trace.chosen) == 3
-
     def test_policy_choice_does_not_matter(self):
         skew = Tableau(rows=((1, 2, 2), (2, 4, 4, 5), (2, 3)), inner=(2, 1))
         northwest = jdt_rectify(skew, choice_policy=lambda boxes: boxes[0])
@@ -54,8 +49,6 @@ def test_jdt_confluence_sweep():
     Shapes with a single removable inner corner are trivially confluent,
     so the sweep concentrates on inner shapes with at least two corners.
     """
-    from cactus_tableaux import enumerate_partitions
-
     checked = 0
     for size in range(2, 6):
         for lam in enumerate_partitions(size):
@@ -111,6 +104,10 @@ class TestPromotion:
         with pytest.raises(ValueError):
             promotion(Tableau(rows=((1,),), inner=(1,)), 2)
 
+    def test_rejects_entries_beyond_alphabet(self):
+        with pytest.raises(ValueError):
+            promotion(Tableau(((1, 2), (4,))), 3)
+
 
 class TestBoundedPromotion:
     def test_paper_chain(self):
@@ -133,6 +130,18 @@ class TestBoundedPromotion:
     def test_window_beyond_entries(self):
         T = Tableau(((1, 2),))
         assert bounded_promotion(T, 9) == promotion(T, 9)
+
+    def test_matches_skew_rectification_oracle(self):
+        checked = 0
+        for size in range(1, 6):
+            for lam in enumerate_partitions(size):
+                for m in range(1, 6):
+                    for T in enumerate_ssyt(lam, m):
+                        for k in range(1, m + 2):
+                            assert bounded_promotion(T, k) == promotion_oracle(T, k), (T, k)
+                            checked += 1
+                        assert promotion(T, m) == bounded_promotion(T, m)
+        assert checked > 9_000
 
 
 class TestEvacuation:

@@ -155,6 +155,14 @@ def test_fold_equivariance_jobs_only_run_on_hooks():
     assert summary.failed == 0
 
 
+@pytest.mark.parametrize("shapes", [((2, 1), (2, 1)), ((2, 1, 0), (2, 1))])
+def test_repeated_explicit_shape_is_checked_once(shapes):
+    summary = batch_verify(make_config(shapes=shapes, relations=("star",)))
+    assert summary.records == [
+        {"relation": "star", "n": 3, "shape": [2, 1], "status": "PASS"}
+    ]
+
+
 def test_two_one_main_theorem_record():
     summary = batch_verify(
         make_config(shapes=((2, 1),), relations=("main-theorem",))
@@ -164,13 +172,25 @@ def test_two_one_main_theorem_record():
     ]
 
 
-def test_records_match_the_committed_smoke_run():
-    # The full record stream of an all-checks run, rendered as the CLI
-    # renders it, against the output the benchmark's smoke test expects.
+@pytest.mark.parametrize(
+    "config, expected_file",
+    [
+        (RunConfig(n_min=2, n_max=4), "smoke-relations-n4.jsonl"),
+        (
+            RunConfig(
+                n_min=4, n_max=5, shapes="hooks", relations=("main-theorem",)
+            ),
+            "smoke-hooks-n5.jsonl",
+        ),
+    ],
+    ids=["relations-n4", "hooks-n5"],
+)
+def test_records_match_the_committed_smoke_run(config, expected_file):
+    # The full record stream of a run, rendered as the CLI renders it,
+    # against the output the benchmark's smoke test expects.
     stream = io.StringIO()
-    _emit_summary(batch_verify(RunConfig(n_min=2, n_max=4)), stream)
+    _emit_summary(batch_verify(config), stream)
     expected = (
-        Path(__file__).resolve().parent.parent
-        / "perfbench" / "expected" / "smoke-relations-n4.jsonl"
+        Path(__file__).resolve().parent.parent / "perfbench" / "expected" / expected_file
     )
     assert stream.getvalue().encode() == expected.read_bytes()
