@@ -17,9 +17,9 @@ from functools import lru_cache, reduce
 from typing import Iterable, Optional, Sequence, Union
 
 from .shapes import Interval, Partition, Permutation
-from .sliding import bounded_promotion, interval_evacuation, partial_evacuation
-from .gt_patterns import strip_swap
-from .tableaux import Tableau, ssyt_tuple, syt_tuple
+from .sliding import _evacuate_rows, _interval_rows, _promote_rows
+from .gt_patterns import _swap_rows, _swapped
+from .tableaux import Rows, Tableau, _straight_ssyt_rows, ssyt_tuple, syt_tuple
 
 
 @dataclass(frozen=True)
@@ -54,12 +54,13 @@ class BKWord:
     factors: tuple[BKAtom, ...]
 
     def __post_init__(self):
-        for kind, k in self.factors:
+        factors = tuple(self.factors)
+        for kind, k in factors:
             if kind not in ("t", "p", "q"):
                 raise ValueError(f"unknown atom kind {kind!r}")
             if not 1 <= k <= self.n - 1:
                 raise ValueError(f"index {k} out of range for rank {self.n}")
-        object.__setattr__(self, "factors", tuple(self.factors))
+        object.__setattr__(self, "factors", factors)
 
     def __str__(self) -> str:
         return " ".join(f"{kind}{k}" for kind, k in self.factors) or "<identity>"
@@ -123,25 +124,31 @@ def parse_word(text: str, n: int) -> Word:
     return parse_bk_word(text, n)
 
 
-def cactus_act(w: CactusWord, T: Tableau) -> Tableau:
-    """Apply the word: each c_[a,b] acts by the interval involution."""
+def _acted_rows(w: Word, T: Tableau) -> Rows:
+    """The rows of T once T is known to be a straight SSYT over 1..w.n."""
     if T.max_entry > w.n:
         raise ValueError(f"tableau alphabet exceeds rank {w.n}")
+    return _straight_ssyt_rows(T, "a group action")
+
+
+def cactus_act(w: CactusWord, T: Tableau) -> Tableau:
+    """Apply the word: each c_[a,b] acts by the interval involution.
+
+    The bounded promotions are those of ``partial_evacuation`` (a = 1) and
+    ``interval_evacuation``, each checked, on the rows of T.
+    """
+    rows = _acted_rows(w, T)
     for a, b in reversed(w.factors):
-        if a == 1:
-            T = partial_evacuation(T, b)
-        else:
-            T = interval_evacuation(T, Interval(a, b))
-    return T
+        rows = _evacuate_rows(rows, b) if a == 1 else _interval_rows(rows, a, b)
+    return Tableau(rows)
 
 
 def bk_act(w: BKWord, T: Tableau) -> Tableau:
-    """Apply the word: each t_k acts by the strip swap at level k."""
-    if T.max_entry > w.n:
-        raise ValueError(f"tableau alphabet exceeds rank {w.n}")
+    """Apply the word: each t_k acts by the strip swap at level k, checked."""
+    rows = _acted_rows(w, T)
     for k in reversed(w.expand()):
-        T = strip_swap(T, k)
-    return T
+        rows = _swapped(rows, k)
+    return Tableau(rows)
 
 
 def act(w: Word, T: Tableau) -> Tableau:
@@ -201,16 +208,34 @@ def pi_ij_image(w: CactusWord, i: int, j: int) -> Permutation:
 
 
 @lru_cache(maxsize=None)
-def _index(lam: tuple[int, ...], m: Optional[int]) -> dict[Tableau, int]:
-    """Positions in the domain (lam, m): SSYT(lam, m), or SYT(lam) if m is None."""
+def _index(lam: tuple[int, ...], m: Optional[int]) -> dict[Rows, int]:
+    """Positions in the domain (lam, m), keyed by the rows of each tableau.
+
+    The domain is SSYT(lam, m), or SYT(lam) if m is None.
+    """
     tabs = syt_tuple(lam) if m is None else ssyt_tuple(lam, m)
-    return {t: i for i, t in enumerate(tabs)}
+    return {t.rows: i for i, t in enumerate(tabs)}
 
 
-def _induced_perm(lam: tuple[int, ...], m: Optional[int], f) -> Permutation:
-    """The permutation the tableau map f induces on the domain (lam, m)."""
+def _induced_perm(lam: tuple[int, ...], m: Optional[int], f, what: str) -> Permutation:
+    """The permutation the row map f, named ``what``, induces on (lam, m).
+
+    The domain's rows are valid by construction, so f gets them unchecked.
+    Its post-condition is that every image lies in the domain, which is
+    stronger than being semistandard; it is checked for every image in
+    every run mode.
+    """
     index = _index(lam, m)
-    return Permutation(index[f(t)] + 1 for t in index)
+    images = []
+    for rows in index:
+        image = f(rows)
+        i = index.get(image)
+        if i is None:
+            raise AssertionError(
+                f"{what} maps {rows} to {image}, outside the domain {lam}, m = {m}"
+            )
+        images.append(i + 1)
+    return Permutation(images)
 
 
 @lru_cache(maxsize=None)
@@ -237,13 +262,15 @@ def interval_perm(
 @lru_cache(maxsize=None)
 def bk_t_perm(lam: tuple[int, ...], m: Optional[int], k: int) -> Permutation:
     """t_k as a permutation of the domain (lam, m)."""
-    return _induced_perm(lam, m, lambda t: strip_swap(t, k))
+    return _induced_perm(lam, m, lambda rows: _swap_rows(rows, k), f"t{k}")
 
 
 @lru_cache(maxsize=None)
 def promotion_perm(lam: tuple[int, ...], m: Optional[int], k: int) -> Permutation:
     """Bounded promotion with window 1..k as a permutation of (lam, m)."""
-    return _induced_perm(lam, m, lambda t: bounded_promotion(t, k))
+    return _induced_perm(
+        lam, m, lambda rows: _promote_rows(rows, k), f"promotion_{k}"
+    )
 
 
 def word_perm(

@@ -15,10 +15,19 @@ L(i,j+1) >= L(i,j) >= L(i+1,j+1).
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from typing import Iterator
 
 from .shapes import Interval, Partition
-from .tableaux import Tableau, restrict_entries
+from .tableaux import (
+    Rows,
+    Tableau,
+    _check_image,
+    _rows_semistandard,
+    _straight_ssyt_rows,
+    restrict_entries,
+)
 
 
 @dataclass(frozen=True)
@@ -92,10 +101,7 @@ class StripRectangle:
 
 def to_pattern(T: Tableau, n: int) -> GTPattern:
     """The pattern whose row j is the shape of T restricted to 1..j."""
-    if not T.is_straight:
-        raise ValueError("patterns are defined for straight tableaux")
-    if not T.is_semistandard():
-        raise ValueError("patterns are defined for semistandard tableaux")
+    _straight_ssyt_rows(T, "a GT pattern")
     if T.max_entry > n:
         raise ValueError(f"entries exceed {n}")
     rows = []
@@ -117,9 +123,9 @@ def from_pattern(P: GTPattern) -> Tableau:
             prev = P.entry(i, j - 1) if j > 1 else 0
             row.extend([j] * (P.entry(i, j) - prev))
         rows.append(tuple(row))
-    T = Tableau(rows=tuple(rows))
-    assert T.is_semistandard()
-    return T
+    if not _rows_semistandard(rows):
+        raise AssertionError(f"pattern {P.rows} gave a non-semistandard filling {rows}")
+    return Tableau(rows=tuple(rows))
 
 
 def _tau_bounds(P: GTPattern, i: int, k: int) -> tuple[int, int]:
@@ -157,20 +163,29 @@ def strip_location(P: GTPattern, i: int, k: int) -> Strip:
     return Strip(row=i, start_col=b + 1, low=lam - b, high=a - lam, level=k)
 
 
-def _free_boxes(T: Tableau, k: int) -> tuple[dict[int, list[int]], dict[int, list[int]]]:
-    """Free k-columns and free (k+1)-columns per 0-based row.
+def _free_spans(rows: Rows, k: int) -> Iterator[tuple[int, int, int, int, int]]:
+    """(r, lo, fl, mid, fh) for each 0-based row r of a straight SSYT that
+    holds k or k + 1.
 
-    A k-box is free unless a (k+1)-box sits directly below it; a
-    (k+1)-box is free unless a k-box sits directly above it.
+    In row r the k-boxes are columns lo..mid-1 and the (k+1)-boxes
+    mid..hi-1.  A k-box is bound when a (k+1)-box sits directly below it,
+    a (k+1)-box when a k-box sits directly above it.  Column strictness
+    makes the bound k-boxes a prefix lo..fl-1 of their block and the bound
+    (k+1)-boxes a suffix fh..hi-1 of theirs, so the free boxes are the one
+    span fl..fh-1: k's up to mid, then (k+1)'s.  Only rows 0..k can hold
+    k + 1.
     """
-    free_low: dict[int, list[int]] = {}
-    free_high: dict[int, list[int]] = {}
-    for r, c, e in T.cells():
-        if e == k and T.entry(r + 1, c) != k + 1:
-            free_low.setdefault(r, []).append(c)
-        elif e == k + 1 and (r == 0 or T.entry(r - 1, c) != k):
-            free_high.setdefault(r, []).append(c)
-    return free_low, free_high
+    k1 = k + 1
+    blocks = [
+        (bisect_left(row, k), bisect_left(row, k1), bisect_right(row, k1))
+        for row in rows[:k1]
+    ]
+    for r, (lo, mid, hi) in enumerate(blocks):
+        if lo == hi:
+            continue
+        below_hi = blocks[r + 1][2] if r + 1 < len(blocks) else 0
+        above_lo = blocks[r - 1][0] if r else hi
+        yield r, lo, max(lo, min(mid, below_hi)), mid, min(hi, max(mid, above_lo))
 
 
 def strip_decomposition(
@@ -180,35 +195,20 @@ def strip_decomposition(
 
     Strips are listed top to bottom (increasing row index); rows whose
     k/(k+1) boxes are entirely covered by rectangles contribute no strip.
+    The bound k-boxes of a row and the (k+1)-boxes below them form one
+    rectangle.
     """
-    if not T.is_straight or not T.is_semistandard():
-        raise ValueError("strip decomposition requires a straight SSYT")
-    free_low, free_high = _free_boxes(T, k)
+    rows = _straight_ssyt_rows(T, "strip decomposition")
     strips = []
-    for r in sorted(set(free_low) | set(free_high)):
-        lows = free_low.get(r, [])
-        highs = free_high.get(r, [])
-        cols = sorted(lows + highs)
-        assert cols == list(range(cols[0], cols[0] + len(cols)))
-        strips.append(
-            Strip(
-                row=r + 1,
-                start_col=cols[0] + 1,
-                low=len(lows),
-                high=len(highs),
-                level=k,
-            )
-        )
     rectangles = []
-    for r, c, e in T.cells():
-        if e == k and T.entry(r + 1, c) == k + 1:
-            if T.entry(r + 1, c - 1) == k + 1 and T.entry(r, c - 1) == k:
-                continue  # extend the rectangle found to the left
-            width = 1
-            while T.entry(r, c + width) == k and T.entry(r + 1, c + width) == k + 1:
-                width += 1
+    for r, lo, fl, mid, fh in _free_spans(rows, k):
+        if fh > fl:
+            strips.append(
+                Strip(row=r + 1, start_col=fl + 1, low=mid - fl, high=fh - mid, level=k)
+            )
+        if fl > lo:
             rectangles.append(
-                StripRectangle(row=r + 1, start_col=c + 1, width=width, level=k)
+                StripRectangle(row=r + 1, start_col=lo + 1, width=fl - lo, level=k)
             )
     return tuple(strips), tuple(rectangles)
 
@@ -217,25 +217,31 @@ def strip_swap(T: Tableau, k: int) -> Tableau:
     """Replace each strip of type (a, b) by one of type (b, a).
 
     This is the tableau form of the row operator: rectangles are left
-    alone, so the result is again semistandard of the same shape.
+    alone, so the result is again semistandard of the same shape.  The
+    input is checked once, :func:`_swap_rows` does the work and its
+    post-condition is checked in every run mode.
     """
-    if not T.is_straight or not T.is_semistandard():
-        raise ValueError("strip swap requires a straight SSYT")
-    free_low, free_high = _free_boxes(T, k)
-    grid = {(r, c): e for r, c, e in T.cells()}
-    for r in set(free_low) | set(free_high):
-        lows = free_low.get(r, [])
-        highs = free_high.get(r, [])
-        cols = sorted(lows + highs)
-        for idx, c in enumerate(cols):
-            grid[(r, c)] = k if idx < len(highs) else k + 1
-    rows = tuple(
-        tuple(grid[(r, c)] for c in range(len(row)))
-        for r, row in enumerate(T.rows)
-    )
-    out = Tableau(rows=rows)
-    assert out.is_semistandard() and out.outer == T.outer
-    return out
+    return Tableau(_swapped(_straight_ssyt_rows(T, "strip swap"), k))
+
+
+def _swap_rows(rows: Rows, k: int) -> Rows:
+    """The strip-swap kernel on the rows of a straight SSYT; no checks.
+
+    Each row's free span of a k's and then b (k+1)'s becomes b k's and then
+    a (k+1)'s; nothing else changes.
+    """
+    out = list(rows)
+    for r, _, fl, mid, fh in _free_spans(rows, k):
+        low, high = mid - fl, fh - mid
+        if low != high:
+            row = rows[r]
+            out[r] = row[:fl] + (k,) * high + (k + 1,) * low + row[fh:]
+    return tuple(out)
+
+
+def _swapped(rows: Rows, k: int) -> Rows:
+    """t_k on rows, with its post-condition."""
+    return _check_image(rows, _swap_rows(rows, k), "strip swap")
 
 
 __all__ = [

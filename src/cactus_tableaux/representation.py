@@ -234,7 +234,8 @@ def schutzenberger_perm_character(lam: Partition) -> dict[CycleType, int]:
         out[rho] = sum(
             1 for x in range(1, image.degree + 1) if image(x) == x
         )
-    assert out[Partition([1] * (n - 1))] == hook_length_dim(lam)
+    if out[Partition([1] * (n - 1))] != hook_length_dim(lam):
+        raise AssertionError(f"the identity does not fix every SYT of {lam}")
     return out
 
 
@@ -257,7 +258,8 @@ def decompose_schutzenberger(lam: Partition) -> MultiplicityVector:
             )
         mults.append((mu, total // order))
     vec = MultiplicityVector(degree=n - 1, mults=tuple(mults))
-    assert vec.total_dimension() == hook_length_dim(lam)
+    if vec.total_dimension() != hook_length_dim(lam):
+        raise AssertionError(f"the decomposition of {lam} misses its dimension")
     return vec
 
 
@@ -364,7 +366,8 @@ def delta_eigenspace_dims(lam: Partition) -> tuple[int, int]:
     tabs = syt_tuple(tuple(lam))
     f = len(tabs)
     fixed = sum(1 for t in tabs if dual_reflect(t) == t)
-    assert (f + fixed) % 2 == 0
+    if (f + fixed) % 2:
+        raise AssertionError(f"{f} SYT and {fixed} fixed points have odd sum")
     return ((f + fixed) // 2, (f - fixed) // 2)
 
 

@@ -255,5 +255,6 @@ def transposition_word(w: Permutation) -> tuple[int, ...]:
     check = Permutation.identity(w.degree)
     for i in word:
         check = check * Permutation.transposition(w.degree, i, i + 1)
-    assert check == w
+    if check != w:
+        raise AssertionError(f"the bubble-sort word {word} does not give {w}")
     return word

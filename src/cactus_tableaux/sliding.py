@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from .shapes import Interval
-from .tableaux import Tableau
+from .tableaux import Rows, Tableau, _check_image, _straight_ssyt_rows
 
 Cell = tuple[int, int]
 ChoicePolicy = Callable[[list[Cell]], Cell]
@@ -31,7 +31,8 @@ def _grid_to_tableau(grid: dict[Cell, int], inner: list[int]) -> Tableau:
     for r in range(nrows):
         cols = sorted(c for (rr, c) in grid if rr == r)
         off = inner[r] if r < len(inner) else 0
-        assert cols == list(range(off, off + len(cols)))
+        if cols != list(range(off, off + len(cols))):
+            raise AssertionError(f"row {r} of the grid is not contiguous: {cols}")
         rows.append(tuple(grid[(r, c)] for c in cols))
     return Tableau(rows=tuple(rows), inner=tuple(inner[:nrows]))
 
@@ -78,7 +79,8 @@ def jdt_rectify(T: Tableau, choice_policy: Optional[ChoicePolicy] = None) -> Tab
     while inner and inner[-1] == 0:
         inner.pop()
     out = _grid_to_tableau(grid, inner)
-    assert out.is_straight and out.is_semistandard()
+    if not (out.is_straight and out.is_semistandard()):
+        raise AssertionError(f"rectification of {T} gave {out}")
     return out
 
 
@@ -130,32 +132,61 @@ def promotion(T: Tableau, m: int) -> Tableau:
 def bounded_promotion(T: Tableau, k: int) -> Tableau:
     """Promotion applied to the sub-tableau of entries <= k, in place.
 
-    One jeu-de-taquin pass: the cells with entries <= k form the grid, and
-    cells with larger entries stay out of it, so no hole slides through
-    them.  The 1s of a straight SSYT are a prefix of row 0; they become
-    holes that slide out rightmost first, each the only removable inner
-    corner when it moves.  Only then do the surviving entries drop by one
-    and the vacated cells take k.  A k beyond the largest entry present is
-    still well defined: the window is the whole tableau.
+    A k beyond the largest entry present is still well defined: the window
+    is the whole tableau.  The input is checked once, :func:`_promote_rows`
+    does the work and its post-condition is checked in every run mode.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if not T.is_straight:
-        raise ValueError("bounded promotion requires a straight shape")
-    if not T.is_semistandard():
-        raise ValueError("bounded promotion requires a semistandard tableau")
-    # The 1s, a prefix of row 0, are the holes and stay out of the grid.
-    grid = {(r, c): e for r, c, e in T.cells() if 1 < e <= k}
-    ones = T.rows[0].count(1) if T.rows else 0
+    return Tableau(_promoted(_straight_ssyt_rows(T, "bounded promotion"), k))
+
+
+def _promote_rows(rows: Rows, k: int) -> Rows:
+    """The bounded-promotion kernel on the rows of a straight SSYT; no checks.
+
+    One jeu-de-taquin pass: the cells with entries 2..k (found in rows
+    0..k-1 only) form the grid, and cells with larger entries stay out of
+    it, so no hole slides through them.  The 1s, a prefix of row 0, become
+    holes that slide out rightmost first, each the only removable inner
+    corner when it moves.  Only then do the surviving entries drop by one
+    and the vacated cells take k.
+    """
+    grid = {
+        (r, c): e
+        for r, row in enumerate(rows[:k])
+        for c, e in enumerate(row)
+        if 1 < e <= k
+    }
+    ones = rows[0].count(1) if rows else 0
     vacated = [_slide_hole(grid, (0, c)) for c in reversed(range(ones))]
-    rows = [list(row) for row in T.rows]
+    out = [list(row) for row in rows]
     for (r, c), e in grid.items():
-        rows[r][c] = e - 1
+        out[r][c] = e - 1
     for r, c in vacated:
-        rows[r][c] = k
-    out = Tableau(rows=tuple(map(tuple, rows)))
-    assert out.is_semistandard()
-    return out
+        out[r][c] = k
+    return tuple(map(tuple, out))
+
+
+def _promoted(rows: Rows, k: int) -> Rows:
+    """pr_k on rows, with its post-condition."""
+    return _check_image(rows, _promote_rows(rows, k), "bounded promotion")
+
+
+def _evacuate_rows(rows: Rows, k: int) -> Rows:
+    """xi_[1,k] on rows: pr_k, then pr_{k-1}, ..., down to pr_2.
+
+    pr_1 is the identity (its window holds only 1s), so it is not run.
+    """
+    for j in range(k, 1, -1):
+        rows = _promoted(rows, j)
+    return rows
+
+
+def _interval_rows(rows: Rows, a: int, b: int) -> Rows:
+    """xi_[a,b] on rows, by its definition xi_[1,b] xi_[1,b-a+1] xi_[1,b]."""
+    for k in (b, b - a + 1, b):
+        rows = _evacuate_rows(rows, k)
+    return rows
 
 
 def evacuation(T: Tableau, m: Optional[int] = None) -> Tableau:
@@ -168,18 +199,14 @@ def evacuation(T: Tableau, m: Optional[int] = None) -> Tableau:
         m = T.max_entry
     if T.max_entry > m:
         raise ValueError(f"entries exceed alphabet {m}")
-    for k in range(m, 0, -1):
-        T = bounded_promotion(T, k)
-    return T
+    return Tableau(_evacuate_rows(_straight_ssyt_rows(T, "evacuation"), m))
 
 
 def partial_evacuation(T: Tableau, k: int) -> Tableau:
     """Schutzenberger involution on the entries 1..k, in place."""
     if k < 2:
         raise ValueError("partial evacuation needs k >= 2")
-    for j in range(k, 0, -1):
-        T = bounded_promotion(T, j)
-    return T
+    return Tableau(_evacuate_rows(_straight_ssyt_rows(T, "partial evacuation"), k))
 
 
 def interval_evacuation(T: Tableau, J: Interval) -> Tableau:
@@ -187,10 +214,8 @@ def interval_evacuation(T: Tableau, J: Interval) -> Tableau:
     a, b = Interval(*J)
     if not 1 <= a < b:
         raise ValueError(f"invalid interval [{a},{b}]")
-    T = partial_evacuation(T, b)
-    T = partial_evacuation(T, b - a + 1)
-    T = partial_evacuation(T, b)
-    return T
+    rows = _straight_ssyt_rows(T, "interval evacuation")
+    return Tableau(_interval_rows(rows, a, b))
 
 
 __all__ = [

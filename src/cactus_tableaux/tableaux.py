@@ -9,11 +9,14 @@ integers.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Optional
 
 from .shapes import Composition, Interval, Partition, Permutation, conjugate
+
+Rows = tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -82,16 +85,7 @@ class Tableau:
         return tuple(e for row in self.rows for e in row)
 
     def is_semistandard(self) -> bool:
-        for r, row in enumerate(self.rows):
-            for k in range(len(row) - 1):
-                if row[k] > row[k + 1]:
-                    return False
-            off = self.inner_part(r)
-            for k, e in enumerate(row):
-                below = self.entry(r + 1, off + k)
-                if below is not None and below <= e:
-                    return False
-        return True
+        return _rows_semistandard(self.rows, self.inner)
 
     def is_standard(self) -> bool:
         if not self.is_semistandard():
@@ -152,6 +146,60 @@ class Tabloid:
             shape=tuple(obj["shape"]),
             rows=tuple(frozenset(row) for row in obj["rows"]),
         )
+
+
+def _rows_semistandard(rows: Rows, inner: tuple[int, ...] = ()) -> bool:
+    """Whether ``rows`` fill a (skew) shape semistandardly.
+
+    Row r starts in column ``inner[r]`` (0 past the end of ``inner``, so the
+    default is a straight shape).  True when the outer shape is a partition,
+    every entry is positive, rows weakly increase and columns strictly
+    increase.  This is the one semistandard predicate: ``is_semistandard``
+    and the post-conditions of the row kernels both call it.
+    """
+    above: tuple[int, ...] = ()
+    above_off = above_end = 0
+    for r, row in enumerate(rows):
+        off = inner[r] if r < len(inner) else 0
+        end = off + len(row)
+        if r and end > above_end:
+            return False
+        if row and row[0] < 1:
+            return False
+        if not all(map(operator.le, row, row[1:])):
+            return False
+        # Column c is above[c - above_off] over row[c - off]; above_off >= off.
+        if not all(map(operator.lt, above, row[above_off - off :])):
+            return False
+        above, above_off, above_end = row, off, end
+    return True
+
+
+def _straight_ssyt_rows(T: Tableau, what: str) -> Rows:
+    """The rows of T once T is known to be a straight SSYT.
+
+    The input check of every operation that hands rows to a row kernel;
+    raises ValueError naming the operation otherwise.
+    """
+    if not T.is_straight:
+        raise ValueError(f"{what} requires a straight shape")
+    if not T.is_semistandard():
+        raise ValueError(f"{what} requires a semistandard tableau")
+    return T.rows
+
+
+def _check_image(before: Rows, after: Rows, what: str) -> Rows:
+    """Return ``after``, a kernel's image of ``before``, once it is known to
+    be an SSYT of the same straight shape.
+
+    A kernel's post-condition.  It raises AssertionError explicitly, so it
+    holds under ``python -O`` too, and a broken invariant is not mistaken
+    for malformed input.
+    """
+    same_shape = list(map(len, after)) == list(map(len, before))
+    if not (same_shape and _rows_semistandard(after)):
+        raise AssertionError(f"{what} of {before} is not an SSYT of its shape: {after}")
+    return after
 
 
 def content(T: Tableau, m: Optional[int] = None) -> Composition:

@@ -101,10 +101,13 @@ def test_act_malformed_tableau_exits_2(capsys):
         ("kostka", "--mu", "[2]", "--nu", "2"),
         ("enumerate", "ssyt", "--shape", "[2]", "--m", "2", "--content", "2"),
         ("fold", "--tableau", '{"rows": [[1]], "inner": 1}'),
+        ("act", "--n", "3", "--word", "", "--tableau", '{"rows": [[3, 1], [1]]}'),
+        ("act", "--n", "3", "--word", "", "--tableau", '{"rows": [[1]], "inner": [1]}'),
     ],
     ids=["syt-no-shape", "ssyt-no-m", "partitions-no-n", "shapes-not-list",
          "rows-not-list", "patterns-no-m", "shape-not-list", "nu-not-list",
-         "content-not-list", "inner-not-list"],
+         "content-not-list", "inner-not-list", "empty-word-non-semistandard",
+         "empty-word-skew"],
 )
 def test_malformed_input_exits_2_with_one_line(capsys, argv):
     code = dispatch(list(argv))

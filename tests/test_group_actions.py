@@ -1,6 +1,10 @@
 """Words, induced permutations, and the relation checkers."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -34,6 +38,7 @@ from cactus_tableaux.group_actions import (
     star_relation_expected,
     word_perm,
 )
+from cactus_tableaux.gt_patterns import strip_swap
 from cactus_tableaux.shapes import (
     Interval,
     Partition,
@@ -104,6 +109,42 @@ class TestActions:
     def test_remark_counterexample(self):
         w = parse_bk_word("t3 t4", 5) ** 3
         assert act(w, Tableau(((1, 3, 4), (2, 5)))) == Tableau(((1, 3, 5), (2, 4)))
+
+    def test_bk_word_keeps_factors_given_as_a_generator(self):
+        w = BKWord(4, (("t", k) for k in (1, 2, 3)))
+        assert w.factors == (("t", 1), ("t", 2), ("t", 3))
+        assert str(w) == "t1 t2 t3"
+
+    @staticmethod
+    def public_act(w, T):
+        """The word applied factor by factor through the public operations."""
+        if isinstance(w, CactusWord):
+            for a, b in reversed(w.factors):
+                if a == 1:
+                    T = partial_evacuation(T, b)
+                else:
+                    T = interval_evacuation(T, Interval(a, b))
+            return T
+        for k in reversed(w.expand()):
+            T = strip_swap(T, k)
+        return T
+
+    def test_act_matches_public_operations_on_seeded_words(self):
+        rng = random.Random(20261018)
+        for _ in range(500):
+            lam = tuple(rng.choice(enumerate_partitions(rng.randint(1, 5))))
+            n = rng.randint(max(2, len(lam)), 5)
+            T = rng.choice(ssyt_tuple(lam, n))
+            length = rng.randint(0, 5)
+            if rng.random() < 0.5:
+                intervals = [
+                    Interval(a, b) for a in range(1, n) for b in range(a + 1, n + 1)
+                ]
+                w = CactusWord(n, tuple(rng.choice(intervals) for _ in range(length)))
+            else:
+                atoms = [(kind, k) for kind in "tpq" for k in range(1, n)]
+                w = BKWord(n, tuple(rng.choice(atoms) for _ in range(length)))
+            assert act(w, T) == self.public_act(w, T), (str(w), T)
 
     @settings(max_examples=25, deadline=None)
     @given(st.data())
@@ -183,9 +224,10 @@ class TestLiftedIntervalPerms:
 
     @staticmethod
     def reference(a, b):
+        """The tableau-level involution, as a map of rows."""
         if a == 1:
-            return lambda t: partial_evacuation(t, b)
-        return lambda t: interval_evacuation(t, Interval(a, b))
+            return lambda rows: partial_evacuation(Tableau(rows), b).rows
+        return lambda rows: interval_evacuation(Tableau(rows), Interval(a, b)).rows
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_equal_to_tableau_level_evacuations(self, n):
@@ -195,7 +237,7 @@ class TestLiftedIntervalPerms:
                     op = self.reference(a, b)
                     for m in (n, None):
                         assert interval_perm(lam, m, a, b) == _induced_perm(
-                            lam, m, op
+                            lam, m, op, f"xi[{a},{b}]"
                         ), (lam, m, a, b)
 
     def test_rejects_empty_interval(self):
@@ -298,3 +340,57 @@ class TestRelationCheckers:
                             CactusWord(n, (Interval(a, b),)), lam, domain="syt"
                         )
                         assert (p * p).is_identity()
+
+
+BROKEN_KERNELS = """
+import sys
+
+from cactus_tableaux import group_actions, gt_patterns, sliding
+from cactus_tableaux.tableaux import Tableau
+
+if __debug__:
+    sys.exit("assert statements are live: not an optimised run")
+
+
+def broken(rows, k):
+    return (rows[0][::-1],) + rows[1:]  # row 0 of a SYT no longer increases
+
+
+for module in (sliding, gt_patterns, group_actions):
+    for name in ("_promote_rows", "_swap_rows"):
+        if hasattr(module, name):
+            setattr(module, name, broken)
+T = Tableau(((1, 2), (3,)))
+calls = {
+    "strip_swap": lambda: gt_patterns.strip_swap(T, 1),
+    "bounded_promotion": lambda: sliding.bounded_promotion(T, 2),
+    "bk_t_perm": lambda: group_actions.bk_t_perm((2, 1), None, 1),
+    "promotion_perm": lambda: group_actions.promotion_perm((2, 1), None, 2),
+    "act t2": lambda: group_actions.act(group_actions.parse_word("t2", 3), T),
+    "act c[1,3]": lambda: group_actions.act(group_actions.parse_word("c[1,3]", 3), T),
+}
+for name, call in calls.items():
+    try:
+        call()
+    except AssertionError:
+        continue
+    print(name)
+"""
+
+
+def test_kernel_post_conditions_hold_under_python_O():
+    """With the row kernels replaced by a broken stand-in, every layer that
+    runs them still raises, in an interpreter that strips assert statements."""
+    import cactus_tableaux
+
+    src = str(Path(cactus_tableaux.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", BROKEN_KERNELS],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "", f"did not raise: {proc.stdout.splitlines()}"

@@ -3,6 +3,7 @@
 import pytest
 
 from cactus_tableaux.gt_patterns import (
+    _swap_rows,
     GTPattern,
     Strip,
     bk_tau,
@@ -103,6 +104,22 @@ class TestTau:
                     P = to_pattern(T, 4)
                     for k in (1, 2, 3):
                         assert from_pattern(bk_tau(P, k)) == strip_swap(T, k)
+
+    def test_row_kernel_matches_pattern_reflection(self):
+        """The strip-swap kernel alone, with no check around it, against
+        bk_tau through the bijection: every T in SSYT(lam, m), |lam| <= 5,
+        m <= 5, 1 <= k < m."""
+        checked = 0
+        for size in range(0, 6):
+            for lam in enumerate_partitions(size):
+                for m in range(2, 6):
+                    for T in enumerate_ssyt(lam, m):
+                        P = to_pattern(T, m)
+                        for k in range(1, m):
+                            expected = from_pattern(bk_tau(P, k)).rows
+                            assert _swap_rows(T.rows, k) == expected, (T, k)
+                            checked += 1
+        assert checked > 6_000
 
 
 class TestStrips:

@@ -4,6 +4,7 @@ import pytest
 
 from cactus_tableaux.shapes import Interval, Partition
 from cactus_tableaux.sliding import (
+    _promote_rows,
     bounded_promotion,
     evacuation,
     interval_evacuation,
@@ -141,6 +142,20 @@ class TestBoundedPromotion:
                             assert bounded_promotion(T, k) == promotion_oracle(T, k), (T, k)
                             checked += 1
                         assert promotion(T, m) == bounded_promotion(T, m)
+        assert checked > 9_000
+
+    def test_row_kernel_matches_skew_rectification_oracle(self):
+        """The kernel alone, with no check around it, as the domain builds
+        call it: every T in SSYT(lam, m), |lam| <= 5, m <= 5, 1 <= k <= m + 1."""
+        checked = 0
+        for size in range(0, 6):
+            for lam in enumerate_partitions(size):
+                for m in range(1, 6):
+                    for T in enumerate_ssyt(lam, m):
+                        for k in range(1, m + 2):
+                            expected = promotion_oracle(T, k).rows
+                            assert _promote_rows(T.rows, k) == expected, (T, k)
+                            checked += 1
         assert checked > 9_000
 
 

@@ -1,8 +1,15 @@
+import itertools
 import math
 
 import pytest
 
-from cactus_tableaux.shapes import Composition, Interval, Partition, Permutation
+from cactus_tableaux.shapes import (
+    Composition,
+    Interval,
+    Partition,
+    Permutation,
+    enumerate_partitions,
+)
 from cactus_tableaux.tableaux import (
     Tableau,
     Tabloid,
@@ -14,6 +21,8 @@ from cactus_tableaux.tableaux import (
     permutation_act_tabloid,
     restrict_entries,
 )
+
+from helpers import subpartitions
 
 PAPER_T = Tableau(((1, 1, 2, 3), (2, 2, 3), (4, 4), (5,)))
 
@@ -36,6 +45,33 @@ class TestTableau:
         assert Tableau(((1, 2), (3,))).is_standard()
         assert not Tableau(((1, 1), (1,))).is_semistandard()
         assert not Tableau(((2, 1),)).is_semistandard()
+
+    def test_semistandard_matches_cellwise_reference(self):
+        """Every filling over 1..3 of every skew shape of size <= 4, against
+        a check of each cell with its east and south neighbours."""
+
+        def by_cells(T):
+            for r, c, e in T.cells():
+                east, south = T.entry(r, c + 1), T.entry(r + 1, c)
+                if east is not None and east < e:
+                    return False
+                if south is not None and south <= e:
+                    return False
+            return True
+
+        seen = set()
+        for size in range(1, 5):
+            for lam in enumerate_partitions(size):
+                for mu in subpartitions(lam):
+                    inner = tuple(mu) + (0,) * (len(lam) - len(mu))
+                    lengths = [p - q for p, q in zip(lam, inner)]
+                    for entries in itertools.product((1, 2, 3), repeat=sum(lengths)):
+                        it = iter(entries)
+                        rows = tuple(tuple(next(it) for _ in range(n)) for n in lengths)
+                        T = Tableau(rows=rows, inner=tuple(mu))
+                        assert T.is_semistandard() == by_cells(T), T
+                        seen.add(T.is_semistandard())
+        assert seen == {True, False}
 
     def test_entry_is_zero_based_with_inner_offset(self):
         skew = Tableau(rows=((2,), (1, 3)), inner=(1,))
