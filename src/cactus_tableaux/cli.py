@@ -2,7 +2,8 @@
 
 Everything is emitted as JSON lines on stdout (or to --out).  Exit codes:
 0 success / all checks pass, 1 at least one unexpected verification
-failure, 2 usage or input error.
+failure, 2 usage or input error (an input too deep for the recursion limit
+included).
 """
 
 from __future__ import annotations
@@ -243,6 +244,11 @@ def dispatch(argv: Optional[Sequence[str]] = None) -> int:
         return args.func(args, sys.stdout)
     except (ValueError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        # The enumerators recurse once per cell; a shape too large for the
+        # stack is an input this program cannot take.
+        print("error: input too deep for the recursion limit", file=sys.stderr)
         return 2
 
 

@@ -9,6 +9,7 @@ code path.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
@@ -107,8 +108,9 @@ def _border_strips(lam: Partition, length: int) -> Iterator[tuple[Partition, int
         if nb >= 0 and nb not in bset:
             height = sum(1 for x in beta if nb < x < b)
             new_beta = sorted((bset - {b}) | {nb}, reverse=True)
-            new_lam = [x - (r - 1 - i) for i, x in enumerate(new_beta)]
-            yield Partition(new_lam), height
+            # Distinct nonnegative beta-numbers give a partition.
+            new_lam = tuple(x - (r - 1 - i) for i, x in enumerate(new_beta))
+            yield Partition._unchecked(new_lam), height
 
 
 @lru_cache(maxsize=None)
@@ -121,7 +123,7 @@ def mn_character(mu: Partition, rho: CycleType) -> int:
     if mu.size == 0:
         return 1
     part = rho[0]
-    rest = Partition(rho[1:])
+    rest = Partition._unchecked(rho[1:])
     total = 0
     for rem, height in _border_strips(mu, part):
         total += (-1) ** height * mn_character(rem, rest)
@@ -215,6 +217,12 @@ def class_representative(rho: CycleType) -> Permutation:
     return Permutation(images)
 
 
+@lru_cache(maxsize=None)
+def _class_word(rho: CycleType) -> tuple[int, ...]:
+    """The adjacent-transposition word of rho's class representative."""
+    return transposition_word(class_representative(rho))
+
+
 def schutzenberger_perm_character(lam: Partition) -> dict[CycleType, int]:
     """Fixed-point character of the hook-shape tableau action of S_{n-1}."""
     lam = Partition(lam)
@@ -228,12 +236,9 @@ def schutzenberger_perm_character(lam: Partition) -> dict[CycleType, int]:
     out = {}
     for rho in enumerate_partitions(n - 1):
         # s_i acts as t_{i+1}.
-        rep = class_representative(rho)
-        word = BKWord(n, tuple(("t", i + 1) for i in transposition_word(rep)))
-        image = word_perm(word, lam, domain="syt")
-        out[rho] = sum(
-            1 for x in range(1, image.degree + 1) if image(x) == x
-        )
+        word = BKWord(n, tuple(("t", i + 1) for i in _class_word(rho)))
+        images = word_perm(word, lam, domain="syt").images
+        out[rho] = sum(map(operator.eq, images, range(1, len(images) + 1)))
     if out[Partition([1] * (n - 1))] != hook_length_dim(lam):
         raise AssertionError(f"the identity does not fix every SYT of {lam}")
     return out

@@ -7,6 +7,7 @@ and shared between threads.
 
 from __future__ import annotations
 
+import operator
 from typing import Iterable, Iterator, NamedTuple
 
 
@@ -18,16 +19,22 @@ class Partition(tuple):
     """
 
     def __new__(cls, parts: Iterable[int] = ()) -> "Partition":
-        parts = tuple(int(p) for p in parts)
-        for p in parts:
-            if p < 0:
-                raise ValueError(f"negative part in partition: {parts}")
-        for i in range(len(parts) - 1):
-            if parts[i] < parts[i + 1]:
-                raise ValueError(f"parts not weakly decreasing: {parts}")
-        while parts and parts[-1] == 0:
-            parts = parts[:-1]
-        return super().__new__(cls, parts)
+        if type(parts) is cls:
+            return parts  # already checked and normalised
+        parts = tuple(map(int, parts))
+        if parts and min(parts) < 0:
+            raise ValueError(f"negative part in partition: {parts}")
+        if not all(map(operator.ge, parts, parts[1:])):
+            raise ValueError(f"parts not weakly decreasing: {parts}")
+        return cls._unchecked(parts)
+
+    @classmethod
+    def _unchecked(cls, parts: tuple[int, ...]) -> "Partition":
+        """Wrap parts already known to be weakly decreasing nonnegative
+        integers, dropping trailing zeros."""
+        if parts and not parts[-1]:
+            parts = parts[: parts.index(0)]
+        return tuple.__new__(cls, parts)
 
     @property
     def size(self) -> int:
@@ -129,7 +136,7 @@ class Permutation:
     __slots__ = ("images",)
 
     def __init__(self, images: Iterable[int]):
-        images = tuple(int(x) for x in images)
+        images = tuple(map(int, images))
         if sorted(images) != list(range(1, len(images) + 1)):
             raise ValueError(f"not a bijection of 1..{len(images)}: {images}")
         object.__setattr__(self, "images", images)
@@ -172,8 +179,13 @@ class Permutation:
         if self.degree != other.degree:
             raise ValueError("degree mismatch")
         # A product of two bijections of 1..m is one: skip re-validation.
-        images = self.images
-        return Permutation._unchecked(tuple([images[o - 1] for o in other.images]))
+        # Below degree 2 the only permutation is the identity, and
+        # itemgetter would not return a tuple.
+        if len(other.images) < 2:
+            return self
+        return Permutation._unchecked(
+            operator.itemgetter(*other.images)((0,) + self.images)
+        )
 
     def inverse(self) -> "Permutation":
         inv = [0] * self.degree

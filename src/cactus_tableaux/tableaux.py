@@ -27,28 +27,27 @@ class Tableau:
     inner: tuple[int, ...] = ()
 
     def __post_init__(self):
-        rows = tuple(tuple(int(e) for e in row) for row in self.rows)
-        inner = tuple(Partition(self.inner))
+        rows = tuple(tuple(map(int, row)) for row in self.rows)
+        inner = tuple(Partition(self.inner)) if self.inner else ()
         # Drop trailing rows that carry no cells; trim inner to match.
         while rows and not rows[-1]:
             rows = rows[:-1]
         inner = inner[: len(rows)]
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "inner", inner)
-        outer = self.outer
-        if not Partition(outer).contains(Partition(inner)):
-            raise ValueError(f"inner shape {inner} not inside outer {outer}")
+        # Building the outer shape checks that it is a partition.  It then
+        # contains inner: row i ends at inner[i] + len(rows[i]) >= inner[i],
+        # and inner is no longer than rows.
+        self.outer
         for row in rows:
-            for e in row:
-                if e < 1:
-                    raise ValueError(f"entries must be positive, got {e}")
+            if row and min(row) < 1:
+                bad = next(e for e in row if e < 1)
+                raise ValueError(f"entries must be positive, got {bad}")
 
     @property
     def outer(self) -> Partition:
-        parts = tuple(
-            self.inner_part(i) + len(row) for i, row in enumerate(self.rows)
-        )
-        return Partition(parts)
+        inner = self.inner + (0,) * (len(self.rows) - len(self.inner))
+        return Partition(map(operator.add, inner, map(len, self.rows)))
 
     def inner_part(self, i: int) -> int:
         return self.inner[i] if i < len(self.inner) else 0

@@ -103,11 +103,13 @@ def test_act_malformed_tableau_exits_2(capsys):
         ("fold", "--tableau", '{"rows": [[1]], "inner": 1}'),
         ("act", "--n", "3", "--word", "", "--tableau", '{"rows": [[3, 1], [1]]}'),
         ("act", "--n", "3", "--word", "", "--tableau", '{"rows": [[1]], "inner": [1]}'),
+        ("enumerate", "syt", "--shape", "[1100]"),
+        ("kostka", "--mu", "[1100]", "--nu", "[1100]"),
     ],
     ids=["syt-no-shape", "ssyt-no-m", "partitions-no-n", "shapes-not-list",
          "rows-not-list", "patterns-no-m", "shape-not-list", "nu-not-list",
          "content-not-list", "inner-not-list", "empty-word-non-semistandard",
-         "empty-word-skew"],
+         "empty-word-skew", "syt-too-deep", "kostka-too-deep"],
 )
 def test_malformed_input_exits_2_with_one_line(capsys, argv):
     code = dispatch(list(argv))

@@ -25,7 +25,7 @@ from cactus_tableaux.representation import (
 from cactus_tableaux.shapes import Composition, Partition, enumerate_partitions, is_hook
 from cactus_tableaux.tableaux import Tableau, Tabloid, enumerate_syt
 
-from helpers import character_table_oracle, kostka_oracle
+from helpers import character_table_oracle, kostka_oracle, perm_module_character
 
 
 class TestHookShape:
@@ -131,6 +131,19 @@ class TestSchutzenbergerModule:
     def test_two_one_rejected(self):
         with pytest.raises(ValueError):
             schutzenberger_perm_character(Partition((2, 1)))
+
+    def test_perm_character_matches_tabloid_oracle(self):
+        """Every column of every hook of size 3..8, against the character of
+        the permutation module on tabloids of shape (arm, leg)."""
+        for n in range(3, 9):
+            for lam in enumerate_partitions(n):
+                if not is_hook(lam) or lam == Partition((2, 1)):
+                    continue
+                tilde = tuple(tilde_composition(lam))
+                char = schutzenberger_perm_character(lam)
+                assert set(char) == set(enumerate_partitions(n - 1))
+                for rho, value in char.items():
+                    assert value == perm_module_character(tilde, tuple(rho)), (lam, rho)
 
     @pytest.mark.parametrize("shape", [(2, 2), (3, 2), (3, 2, 1)])
     def test_decompose_rejects_non_hooks(self, shape):

@@ -25,6 +25,24 @@ class TestPartition:
         with pytest.raises(ValueError):
             Partition((3, -1))
 
+    def test_a_partition_is_returned_as_it_is(self):
+        lam = Partition((3, 1))
+        assert Partition(lam) is lam
+
+    @pytest.mark.parametrize("wrap", [list, tuple, iter], ids=["list", "tuple", "generator"])
+    def test_checks_every_kind_of_input(self, wrap):
+        negative = r"^negative part in partition: "
+        with pytest.raises(ValueError, match=negative + r"\(2, -1, 0\)$"):
+            Partition(wrap([2, -1, 0]))
+        # a negative part is named before the order is checked
+        with pytest.raises(ValueError, match=negative + r"\(-1, 2\)$"):
+            Partition(wrap([-1, 2]))
+        with pytest.raises(ValueError, match=r"^parts not weakly decreasing: \(3, 1, 2\)$"):
+            Partition(wrap([3, 1, 2]))
+        lam = Partition(wrap([3, 1, 0, 0]))
+        assert type(lam) is Partition and tuple(lam) == (3, 1)
+        assert Partition(wrap([0, 0])) == () and Partition(wrap([])) == ()
+
     def test_size_and_part(self):
         lam = Partition((4, 2, 1))
         assert lam.size == 7
@@ -111,12 +129,27 @@ class TestPermutation:
             Permutation((1, 1, 2))
 
 
-@given(st.permutations(list(range(1, 9))), st.permutations(list(range(1, 9))))
-def test_product_is_a_bijection(p, q):
+def test_product_at_degree_0_and_1():
+    for m in (0, 1):
+        product = Permutation.identity(m) * Permutation.identity(m)
+        assert product == Permutation.identity(m)
+        assert type(product.images) is tuple
+
+
+_pairs_up_to_degree_9 = st.integers(0, 9).flatmap(
+    lambda m: st.tuples(*[st.permutations(list(range(1, m + 1)))] * 2)
+)
+
+
+@given(_pairs_up_to_degree_9)
+def test_product_is_a_bijection(pq):
     # products skip re-validation, so check the result is one by hand
+    p, q = pq
+    m = len(p)
     product = Permutation(p) * Permutation(q)
-    assert sorted(product.images) == list(range(1, 9))
-    assert all(product(x) == p[q[x - 1] - 1] for x in range(1, 9))
+    assert type(product.images) is tuple
+    assert sorted(product.images) == list(range(1, m + 1))
+    assert all(product(x) == p[q[x - 1] - 1] for x in range(1, m + 1))
 
 
 @given(st.permutations(list(range(1, 7))))

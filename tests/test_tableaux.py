@@ -1,7 +1,10 @@
 import itertools
 import math
+import operator
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cactus_tableaux.shapes import (
     Composition,
@@ -27,6 +30,39 @@ from helpers import subpartitions
 PAPER_T = Tableau(((1, 1, 2, 3), (2, 2, 3), (4, 4), (5,)))
 
 
+def _reference_error(rows, inner):
+    """The message of the ValueError a Tableau of these rows and inner shape
+    must raise, or None; every check made cell by cell, in the order the
+    checks are made."""
+
+    def partition_error(parts):
+        if any(p < 0 for p in parts):
+            return f"negative part in partition: {parts}"
+        if any(a < b for a, b in zip(parts, parts[1:])):
+            return f"parts not weakly decreasing: {parts}"
+        return None
+
+    inner = tuple(inner)
+    if partition_error(inner):
+        return partition_error(inner)
+    rows = [tuple(row) for row in rows]
+    while rows and not rows[-1]:
+        rows.pop()
+    inner = tuple(p for p in inner if p)[: len(rows)]
+    outer = tuple(
+        (inner[i] if i < len(inner) else 0) + len(row) for i, row in enumerate(rows)
+    )
+    if partition_error(outer):
+        return partition_error(outer)
+    if len(inner) > len(outer) or any(i > o for i, o in zip(inner, outer)):
+        return f"inner shape {inner} not inside outer {Partition(outer)}"
+    for row in rows:
+        for e in row:
+            if e < 1:
+                return f"entries must be positive, got {e}"
+    return None
+
+
 class TestTableau:
     def test_outer_shape(self):
         assert PAPER_T.outer == Partition((4, 3, 2, 1))
@@ -38,6 +74,47 @@ class TestTableau:
             Tableau(rows=((1,), (2, 3)), inner=(0, 1))  # inner not inside outer
         with pytest.raises(ValueError):
             Tableau(rows=((0, 1),))
+
+    @pytest.mark.parametrize(
+        "rows, inner, message",
+        [
+            # inner would stick out of row 1, so it is not a partition
+            (((1,), (2, 3)), (0, 1), "parts not weakly decreasing: (0, 1)"),
+            # inner is trimmed to the one row left once the empty row goes
+            (((1,), ()), (2, 2, 1), None),
+            (((1,), (2, 3)), (), "parts not weakly decreasing: (1, 2)"),
+            (((1,), (2,)), (-1,), "negative part in partition: (-1,)"),
+            (((0, 1),), (), "entries must be positive, got 0"),
+            (((0, -1),), (), "entries must be positive, got 0"),
+            (((1, -1, 0),), (), "entries must be positive, got -1"),
+            (((2,), (1, 0)), (1,), "entries must be positive, got 0"),
+        ],
+    )
+    def test_validation_messages(self, rows, inner, message):
+        assert _reference_error(rows, inner) == message
+        if message is None:
+            Tableau(rows=rows, inner=inner)
+        else:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                Tableau(rows=rows, inner=inner)
+
+    @settings(max_examples=300)
+    @given(
+        st.lists(st.lists(st.integers(-1, 3), max_size=3), max_size=4),
+        st.lists(st.integers(-1, 3), max_size=4),
+    )
+    def test_validation_matches_cellwise_reference(self, rows, inner):
+        """The same inputs are refused with the same message as by the
+        cell-by-cell checks, containment of inner in outer included."""
+        message = _reference_error(rows, inner)
+        try:
+            T = Tableau(rows=tuple(map(tuple, rows)), inner=tuple(inner))
+        except ValueError as exc:
+            assert str(exc) == message
+        else:
+            assert message is None
+            assert len(T.inner) <= len(T.outer)
+            assert all(map(operator.le, T.inner, T.outer))
 
     def test_semistandard_and_standard(self):
         assert PAPER_T.is_semistandard()

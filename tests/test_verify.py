@@ -182,12 +182,22 @@ def test_two_one_main_theorem_record():
             ),
             "smoke-hooks-n5.jsonl",
         ),
+        (
+            RunConfig(
+                n_min=4,
+                n_max=12,
+                shapes="hooks",
+                relations=("main-theorem",),
+                allow_large=True,
+            ),
+            "hooks-n12.jsonl",
+        ),
     ],
-    ids=["relations-n4", "hooks-n5"],
+    ids=["relations-n4", "hooks-n5", "hooks-n12"],
 )
 def test_records_match_the_committed_smoke_run(config, expected_file):
     # The full record stream of a run, rendered as the CLI renders it,
-    # against the output the benchmark's smoke test expects.
+    # against the output the benchmark expects of its smoke or full run.
     stream = io.StringIO()
     _emit_summary(batch_verify(config), stream)
     expected = (
