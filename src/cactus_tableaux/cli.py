@@ -44,7 +44,8 @@ def _required(value, flag: str, command: str):
 
 
 def _is_int_list(obj) -> bool:
-    return isinstance(obj, list) and all(isinstance(x, int) for x in obj)
+    # JSON true/false load as bool, a subclass of int; they are not integers.
+    return isinstance(obj, list) and all(type(x) is int for x in obj)
 
 
 def _int_list(text: str, what: str) -> list[int]:

@@ -261,8 +261,62 @@ def interval_perm(
 
 @lru_cache(maxsize=None)
 def bk_t_perm(lam: tuple[int, ...], m: Optional[int], k: int) -> Permutation:
-    """t_k as a permutation of the domain (lam, m)."""
+    """t_k as a permutation of the domain (lam, m).
+
+    On SYT(lam) with 1 <= k < |lam| it is read off :func:`_syt_t_perms`;
+    otherwise the strip-swap kernel runs on every tableau of the domain.
+    """
+    if m is None and 1 <= k < sum(lam):
+        return _syt_t_perms(lam)[k - 1]
     return _induced_perm(lam, m, lambda rows: _swap_rows(rows, k), f"t{k}")
+
+
+@lru_cache(maxsize=None)
+def _syt_t_perms(lam: tuple[int, ...]) -> tuple[Permutation, ...]:
+    """t_1, ..., t_{n-1} as permutations of SYT(lam), n = |lam|.
+
+    Read T as its row word w, with w[x-1] the row of x; the row words of
+    SYT(lam) are exactly its lattice words of content lam.  Lemma, as k and
+    k+1 fill one box each:
+    (1) if k+1 sits directly below k, both boxes are bound and t_k fixes T;
+    (2) else t_k swaps k and k+1, so w(t_k T) is w with its k-th and
+        (k+1)-th letters exchanged (w itself when k and k+1 share a row);
+    (3) that swapped word is a lattice word unless k+1 is directly below k.
+
+    So the image is the position of the swapped word, or T itself when the
+    swapped word is outside the domain.  That fixed branch is the rule's
+    post-condition: it raises AssertionError, in every run mode, unless k+1
+    really sits directly below k (next row, same column).  ``_swap_rows``
+    is the independent oracle the tests compare it with.  The word map
+    lives only for the build.
+    """
+    n = sum(lam)
+    words = []
+    for rows in _index(lam, None):
+        w = [0] * n
+        for r, row in enumerate(rows):
+            for x in row:
+                w[x - 1] = r
+        words.append(tuple(w))
+    position = {w: i for i, w in enumerate(words)}
+    perms = []
+    for k in range(1, n):
+        images = []
+        for i, w in enumerate(words):
+            a, b = w[k - 1], w[k]
+            j = position.get(w[: k - 1] + (b, a) + w[k + 1 :]) if a != b else i
+            if j is None:
+                # k+1 is directly below k: the next row, and as many
+                # entries before it in its row as before k in k's row.
+                before = w[: k - 1]
+                if not (b == a + 1 and before.count(a) == before.count(b)):
+                    raise AssertionError(
+                        f"t{k} finds no image for the SYT with row word {w} of {lam}"
+                    )
+                j = i
+            images.append(j + 1)
+        perms.append(Permutation(images))
+    return tuple(perms)
 
 
 @lru_cache(maxsize=None)
@@ -545,10 +599,11 @@ def check_chi_consistency(
     """Cactus words and their translations induce the same permutation."""
     lam = tuple(Partition(shape))
     tabs = ssyt_tuple(lam, n)
-    words = [_cw(n, J) for J in _intervals(n)]
-    rng = random.Random(seed)
     intervals = _intervals(n)
-    for _ in range(samples):
+    words = [_cw(n, J) for J in intervals]
+    rng = random.Random(seed)
+    # At n = 1 there is no generator to sample from.
+    for _ in range(samples if intervals else 0):
         length = rng.randint(1, 6)
         words.append(
             _cw(n, *(rng.choice(intervals) for _ in range(length)))

@@ -290,6 +290,9 @@ def enumerate_ssyt(
         content_filter = Composition(content_filter)
         if content_filter.size != lam.size:
             return []
+    if len(lam) > m:
+        # A column longer than m cannot increase strictly within 1..m.
+        return []
     results: list[Tableau] = []
     rows: list[list[int]] = [[] for _ in lam]
     remaining = list(content_filter) if content_filter is not None else None

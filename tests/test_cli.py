@@ -1,8 +1,11 @@
 """Command-line interface: subcommands, wire formats, exit codes."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cactus_tableaux.cli import dispatch
 
@@ -105,11 +108,16 @@ def test_act_malformed_tableau_exits_2(capsys):
         ("act", "--n", "3", "--word", "", "--tableau", '{"rows": [[1]], "inner": [1]}'),
         ("enumerate", "syt", "--shape", "[1100]"),
         ("kostka", "--mu", "[1100]", "--nu", "[1100]"),
+        ("act", "--n", "3", "--word", "t1", "--tableau", '{"rows":[[true]]}'),
+        ("enumerate", "syt", "--shape", "[true,true]"),
+        ("kostka", "--mu", "[true]", "--nu", "[true]"),
+        ("verify", "relations", "--n", "2", "--shapes", "[[true,true]]"),
     ],
     ids=["syt-no-shape", "ssyt-no-m", "partitions-no-n", "shapes-not-list",
          "rows-not-list", "patterns-no-m", "shape-not-list", "nu-not-list",
          "content-not-list", "inner-not-list", "empty-word-non-semistandard",
-         "empty-word-skew", "syt-too-deep", "kostka-too-deep"],
+         "empty-word-skew", "syt-too-deep", "kostka-too-deep", "rows-bool",
+         "shape-bool", "kostka-bool", "shapes-bool"],
 )
 def test_malformed_input_exits_2_with_one_line(capsys, argv):
     code = dispatch(list(argv))
@@ -266,3 +274,109 @@ def test_unknown_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         dispatch(["frobnicate"])
     assert exc.value.code == 2
+
+
+def test_verify_relations_at_n_1_passes(capsys):
+    # Rank 1 has no generators; chi-consistency samples no random words.
+    code, lines = run(capsys, "verify", "relations", "--n", "1", "--workers", "1")
+    assert code == 0
+    assert lines[-1]["summary"] == {"checked": 8, "passed": 8, "failed": 0}
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing: small argv draws never end in a traceback.
+
+_small_int = st.integers(-1, 4)
+_json_scalar = st.one_of(
+    _small_int, st.booleans(), st.none(), st.just(2.0), st.just("1")
+)
+_json_list = st.lists(_json_scalar, max_size=4)
+_json_rows = st.lists(st.lists(_small_int, max_size=3), max_size=3)
+
+
+def _json(strategy):
+    return strategy.map(json.dumps)
+
+
+_shape_text = st.one_of(
+    _json(st.lists(st.integers(0, 3), max_size=3)),
+    _json(_json_list),
+    st.sampled_from(["5", "[", "{}", "null"]),
+)
+_tableau_text = st.one_of(
+    _json(st.fixed_dictionaries({"rows": _json_rows})),
+    _json(
+        st.fixed_dictionaries(
+            {"rows": st.one_of(_json_rows, _json_list)}, optional={"inner": _json_list}
+        )
+    ),
+    st.sampled_from(["[[1]]", "{}", "[", '{"rows": 5}']),
+)
+_word_text = st.lists(
+    st.sampled_from(["t1", "t2", "p2", "q3", "c[1,2]", "c[2,4]", "c[3,1]", "t0", "x"]),
+    max_size=3,
+).map(" ".join)
+
+
+@st.composite
+def _argv(draw):
+    command = draw(
+        st.sampled_from(
+            ["enumerate", "act", "verify", "decompose", "kostka",
+             "character-table", "fold"]
+        )
+    )
+    argv = [command]
+    if command == "enumerate":
+        argv.append(
+            draw(st.sampled_from(["partitions", "syt", "ssyt", "tabloids", "patterns"]))
+        )
+        for flag, value in (
+            ("--n", _small_int.map(str)),
+            ("--shape", _shape_text),
+            ("--m", _small_int.map(str)),
+            ("--content", _shape_text),
+        ):
+            if draw(st.booleans()):
+                argv += [flag, draw(value)]
+    elif command == "act":
+        argv += ["--n", str(draw(st.integers(1, 4))), "--word", draw(_word_text)]
+        argv += ["--tableau", draw(_tableau_text)]
+    elif command == "verify":
+        argv += [draw(st.sampled_from(["relations", "main-theorem"]))]
+        argv += ["--n", str(draw(st.integers(-1, 4))), "--workers", "1"]
+        argv += ["--shapes", draw(st.one_of(st.sampled_from(["all", "hooks"]),
+                                            _json(st.lists(_json_list, max_size=2))))]
+        if draw(st.booleans()):
+            argv += ["--relations", draw(st.sampled_from(
+                ["star", "bk-relations,star-sixth", "no-such-check", ""]))]
+    elif command == "decompose":
+        argv += ["--shape", draw(_shape_text)]
+    elif command == "kostka":
+        argv += ["--mu", draw(_shape_text), "--nu", draw(_shape_text)]
+    elif command == "character-table":
+        argv += ["--m", str(draw(_small_int))]
+    else:
+        argv += ["--tableau", draw(_tableau_text)]
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=_argv())
+def test_dispatch_fuzz_exits_0_1_or_2_without_traceback(argv):
+    """An exception escaping dispatch fails the test, as a traceback would."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = dispatch(argv)
+        except SystemExit as exc:  # argparse refuses the command line
+            code, usage = exc.code, True
+        else:
+            usage = False
+    assert code in (0, 1, 2), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue(), argv
+    if code == 2:
+        assert out.getvalue() == "", argv
+        if not usage:
+            assert err.getvalue().startswith("error: "), argv
+            assert err.getvalue().count("\n") == 1, argv

@@ -15,6 +15,7 @@ from cactus_tableaux.group_actions import (
     CactusWord,
     act,
     bk_act,
+    bk_t_perm,
     cactus_act,
     check_bk_relations,
     check_cactus_defining,
@@ -38,7 +39,13 @@ from cactus_tableaux.group_actions import (
     star_relation_expected,
     word_perm,
 )
-from cactus_tableaux.gt_patterns import strip_swap
+from cactus_tableaux.gt_patterns import (
+    _swap_rows,
+    bk_tau,
+    from_pattern,
+    strip_swap,
+    to_pattern,
+)
 from cactus_tableaux.shapes import (
     Interval,
     Partition,
@@ -247,6 +254,27 @@ class TestLiftedIntervalPerms:
             interval_perm((2, 1), None, 0, 2)
 
 
+class TestSytTPerms:
+    """t_k on SYT(lam), the row-word swap, against the strip-swap kernel
+    and the GT-pattern reflection."""
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_equal_to_strip_swap_and_bk_tau(self, n):
+        for lam in map(tuple, enumerate_partitions(n)):
+            tabs = syt_tuple(lam)
+            index = {T: i + 1 for i, T in enumerate(tabs)}
+            patterns = [to_pattern(T, n) for T in tabs]
+            for k in range(1, n):
+                perm = bk_t_perm(lam, None, k)
+                assert perm == _induced_perm(
+                    lam, None, lambda rows: _swap_rows(rows, k), f"t{k}"
+                ), (lam, k)
+                assert perm.images == tuple(
+                    index[from_pattern(bk_tau(P, k))] for P in patterns
+                ), (lam, k)
+                assert (perm * perm).is_identity(), (lam, k)
+
+
 class TestOrderings:
     def test_paper_311_ordering_permutations(self):
         lam = Partition((3, 1, 1))
@@ -360,11 +388,25 @@ for module in (sliding, gt_patterns, group_actions):
     for name in ("_promote_rows", "_swap_rows"):
         if hasattr(module, name):
             setattr(module, name, broken)
+
+
+def syt_rule_on_a_corrupted_domain():
+    # SYT((3, 1)) without two of its tableaux: t3 finds no image for
+    # ((1, 2, 3), (4,)), and 4 does not sit directly below 3 there.
+    index = group_actions._index
+    group_actions._index = lambda lam, m: dict(list(index(lam, m).items())[:1])
+    try:
+        group_actions.bk_t_perm((3, 1), None, 1)
+    finally:
+        group_actions._index = index
+
+
 T = Tableau(((1, 2), (3,)))
 calls = {
     "strip_swap": lambda: gt_patterns.strip_swap(T, 1),
     "bounded_promotion": lambda: sliding.bounded_promotion(T, 2),
-    "bk_t_perm": lambda: group_actions.bk_t_perm((2, 1), None, 1),
+    "bk_t_perm": lambda: group_actions.bk_t_perm((2, 1), 3, 1),
+    "bk_t_perm on SYT": syt_rule_on_a_corrupted_domain,
     "promotion_perm": lambda: group_actions.promotion_perm((2, 1), None, 2),
     "act t2": lambda: group_actions.act(group_actions.parse_word("t2", 3), T),
     "act c[1,3]": lambda: group_actions.act(group_actions.parse_word("c[1,3]", 3), T),
@@ -380,7 +422,8 @@ for name, call in calls.items():
 
 def test_kernel_post_conditions_hold_under_python_O():
     """With the row kernels replaced by a broken stand-in, every layer that
-    runs them still raises, in an interpreter that strips assert statements."""
+    runs them still raises, in an interpreter that strips assert statements;
+    so does the SYT rule for t_k on a corrupted domain."""
     import cactus_tableaux
 
     src = str(Path(cactus_tableaux.__file__).resolve().parents[1])
