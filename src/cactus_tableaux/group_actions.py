@@ -8,13 +8,11 @@ enumerated tableau set.
 
 from __future__ import annotations
 
-import itertools
 import operator
-import random
 import re
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Union
 
 from .shapes import Interval, Partition, Permutation
 from .sliding import _evacuate_rows, _interval_rows, _promote_rows
@@ -423,276 +421,3 @@ def generated_group_order(
                         )
         frontier = nxt
     return len(seen)
-
-
-# ---------------------------------------------------------------------------
-# Relation verification harness.
-
-
-@dataclass(frozen=True)
-class RelationReport:
-    relation: str
-    n: int
-    shape: Optional[tuple[int, ...]]
-    status: str  # PASS | FAIL
-    counterexample: Optional[dict] = None
-
-    @property
-    def passed(self) -> bool:
-        return self.status == "PASS"
-
-    def to_json(self) -> dict:
-        obj: dict = {
-            "relation": self.relation,
-            "n": self.n,
-            "shape": list(self.shape) if self.shape is not None else None,
-            "status": self.status,
-        }
-        if self.counterexample is not None:
-            obj["counterexample"] = self.counterexample
-        return obj
-
-
-def _cw(n: int, *factors: tuple[int, int]) -> CactusWord:
-    return CactusWord(n, tuple(Interval(*f) for f in factors))
-
-
-def _bw(n: int, *atoms: BKAtom) -> BKWord:
-    return BKWord(n, tuple(atoms))
-
-
-def _first_mismatch(
-    lhs: Permutation, rhs: Permutation, tabs: Sequence[Tableau]
-) -> dict:
-    for i, t in enumerate(tabs):
-        if lhs.images[i] != rhs.images[i]:
-            return {"tableau": t.to_json()}
-    raise AssertionError("permutations differ but no mismatch found")
-
-
-def _check_word_pairs(
-    relation: str,
-    n: int,
-    shape: tuple[int, ...],
-    pairs: Iterable[tuple[str, Word, Word]],
-    domain: str,
-) -> RelationReport:
-    lam = tuple(Partition(shape))
-    tabs = ssyt_tuple(lam, n) if domain == "ssyt" else syt_tuple(lam)
-    for name, lhs, rhs in pairs:
-        pl = word_perm(lhs, lam, n, domain)
-        pr = word_perm(rhs, lam, n, domain)
-        if pl != pr:
-            ce = _first_mismatch(pl, pr, tabs)
-            ce.update({"instance": name, "lhs": str(lhs), "rhs": str(rhs)})
-            return RelationReport(relation, n, lam, "FAIL", ce)
-    return RelationReport(relation, n, lam, "PASS")
-
-
-def _intervals(n: int) -> list[Interval]:
-    return [Interval(a, b) for a in range(1, n) for b in range(a + 1, n + 1)]
-
-
-def _interval_pairs(n: int) -> Iterable[tuple[Interval, Interval]]:
-    """Ordered pairs (J, K) of generator intervals, lexicographic in J, then K."""
-    return itertools.product(_intervals(n), repeat=2)
-
-
-def _nested(J: Interval, K: Interval) -> bool:
-    return J.a <= K.a and K.b <= J.b
-
-
-def _reflect(J: Interval, K: Interval) -> Interval:
-    """K reflected inside J."""
-    return Interval(J.a + J.b - K.b, J.a + J.b - K.a)
-
-
-def cactus_defining_pairs(n: int) -> list[tuple[str, CactusWord, CactusWord]]:
-    """Both sides of every defining relation, as words."""
-    e = _cw(n)
-    pairs = [(f"{J}^2", _cw(n, J, J), e) for J in _intervals(n)]
-    for J, K in _interval_pairs(n):
-        if J.b < K.a or K.b < J.a:
-            pairs.append((f"{J}{K} disjoint", _cw(n, J, K), _cw(n, K, J)))
-        elif _nested(J, K) and J != K:
-            pairs.append((f"{J}{K} nested", _cw(n, J, K), _cw(n, _reflect(J, K), J)))
-    return pairs
-
-
-def check_cactus_defining(n: int, shape: tuple[int, ...]) -> RelationReport:
-    return _check_word_pairs(
-        "cactus-defining", n, shape, cactus_defining_pairs(n), "ssyt"
-    )
-
-
-def check_xi_relations(n: int, shape: tuple[int, ...]) -> RelationReport:
-    """The two interval-involution relations: disjoint and nesting."""
-    pairs = [
-        (f"xi[{J.a},{J.b}] xi[{K.a},{K.b}] commute", _cw(n, J, K), _cw(n, K, J))
-        for J, K in _interval_pairs(n)
-        if J.b + 1 < K.a
-    ]
-    pairs += [
-        (
-            f"xi[{J.a},{J.b}] xi[{K.a},{K.b}] xi[{J.a},{J.b}]",
-            _cw(n, J, K, J),
-            _cw(n, _reflect(J, K)),
-        )
-        for J, K in _interval_pairs(n)
-        if _nested(J, K)
-    ]
-    return _check_word_pairs("xi-relations", n, shape, pairs, "ssyt")
-
-
-def bk_relation_pairs(n: int) -> list[tuple[str, BKWord, BKWord]]:
-    pairs = []
-    e = _bw(n)
-    for k in range(1, n):
-        pairs.append((f"t{k}^2", _bw(n, ("t", k), ("t", k)), e))
-    for k in range(1, n):
-        for l in range(k + 2, n):
-            pairs.append(
-                (
-                    f"t{k} t{l} commute",
-                    _bw(n, ("t", k), ("t", l)),
-                    _bw(n, ("t", l), ("t", k)),
-                )
-            )
-    if n >= 3:
-        pairs.append(("(t1 t2)^6", _bw(n, ("t", 1), ("t", 2)) ** 6, e))
-    for k in range(3, n):
-        pairs.append(
-            (f"(t1 q{k})^4", _bw(n, ("t", 1), ("q", k)) ** 4, e)
-        )
-    return pairs
-
-
-def check_bk_relations(n: int, shape: tuple[int, ...]) -> RelationReport:
-    return _check_word_pairs(
-        "bk-relations", n, shape, bk_relation_pairs(n), "ssyt"
-    )
-
-
-def check_pq_promotion(n: int, shape: tuple[int, ...]) -> RelationReport:
-    """p_k acts as bounded promotion at k+1; q_k as xi_[1,k+1]."""
-    lam = tuple(Partition(shape))
-    tabs = ssyt_tuple(lam, n)
-    for k in range(1, n):
-        pk = word_perm(_bw(n, ("p", k)), lam, n, "ssyt")
-        target = promotion_perm(lam, n, k + 1)
-        if pk != target:
-            ce = _first_mismatch(pk, target, tabs)
-            ce.update({"instance": f"p{k} vs promotion_{k + 1}"})
-            return RelationReport("pq-promotion", n, lam, "FAIL", ce)
-        qk = word_perm(_bw(n, ("q", k)), lam, n, "ssyt")
-        target = interval_perm(lam, n, 1, k + 1)
-        if qk != target:
-            ce = _first_mismatch(qk, target, tabs)
-            ce.update({"instance": f"q{k} vs xi[1,{k + 1}]"})
-            return RelationReport("pq-promotion", n, lam, "FAIL", ce)
-    return RelationReport("pq-promotion", n, lam, "PASS")
-
-
-def check_chi_consistency(
-    n: int, shape: tuple[int, ...], seed: int = 0, samples: int = 50
-) -> RelationReport:
-    """Cactus words and their translations induce the same permutation."""
-    lam = tuple(Partition(shape))
-    tabs = ssyt_tuple(lam, n)
-    intervals = _intervals(n)
-    words = [_cw(n, J) for J in intervals]
-    rng = random.Random(seed)
-    # At n = 1 there is no generator to sample from.
-    for _ in range(samples if intervals else 0):
-        length = rng.randint(1, 6)
-        words.append(
-            _cw(n, *(rng.choice(intervals) for _ in range(length)))
-        )
-    for w in words:
-        pc = word_perm(w, lam, n, "ssyt")
-        pb = word_perm(chi_translate(w), lam, n, "ssyt")
-        if pc != pb:
-            ce = _first_mismatch(pc, pb, tabs)
-            ce.update({"lhs": str(w), "rhs": str(chi_translate(w))})
-            return RelationReport("chi-consistency", n, lam, "FAIL", ce)
-    return RelationReport("chi-consistency", n, lam, "PASS")
-
-
-def check_reduced_cactus(n: int, shape: tuple[int, ...]) -> RelationReport:
-    """The braid-like quotient relations act trivially on SYT."""
-    if n < 3:
-        return RelationReport("reduced-cactus", n, tuple(Partition(shape)), "PASS")
-    e = _cw(n)
-    pairs = [
-        ("(c[1,2] c[2,3])^3", _cw(n, (1, 2), (2, 3)) ** 3, e),
-        ("(c[1,2] c[1,3])^6", _cw(n, (1, 2), (1, 3)) ** 6, e),
-    ]
-    return _check_word_pairs("reduced-cactus", n, shape, pairs, "syt")
-
-
-def check_star_relation(n: int, shape: tuple[int, ...]) -> RelationReport:
-    """(t_k t_{k+1})^3 = 1 on SYT for k >= 2; holds iff hook or (2,2)."""
-    e = _bw(n)
-    pairs = [
-        (
-            f"(t{k} t{k + 1})^3",
-            _bw(n, ("t", k), ("t", k + 1)) ** 3,
-            e,
-        )
-        for k in range(2, n - 1)
-    ]
-    return _check_word_pairs("star", n, shape, pairs, "syt")
-
-
-def check_star_sixth(n: int, shape: tuple[int, ...]) -> RelationReport:
-    """(t_k t_{k+1})^6 = 1 on SYT for every shape."""
-    e = _bw(n)
-    pairs = [
-        (
-            f"(t{k} t{k + 1})^6",
-            _bw(n, ("t", k), ("t", k + 1)) ** 6,
-            e,
-        )
-        for k in range(2, n - 1)
-    ]
-    return _check_word_pairs("star-sixth", n, shape, pairs, "syt")
-
-
-RELATION_FAMILIES = {
-    "cactus-defining": check_cactus_defining,
-    "xi-relations": check_xi_relations,
-    "bk-relations": check_bk_relations,
-    "pq-promotion": check_pq_promotion,
-    "chi-consistency": check_chi_consistency,
-    "reduced-cactus": check_reduced_cactus,
-    "star": check_star_relation,
-    "star-sixth": check_star_sixth,
-}
-
-
-def star_relation_expected(shape: Partition) -> bool:
-    """Shapes on which the star relation is predicted to hold."""
-    from .shapes import is_hook
-
-    lam = Partition(shape)
-    return is_hook(lam) or lam == Partition((2, 2))
-
-
-def relation_report(
-    n: int,
-    shapes: Iterable[Partition],
-    relation_set: Optional[Iterable[str]] = None,
-) -> list[RelationReport]:
-    """Run the selected relation families over the given shapes."""
-    names = list(relation_set) if relation_set is not None else list(
-        RELATION_FAMILIES
-    )
-    for name in names:
-        if name not in RELATION_FAMILIES:
-            raise ValueError(f"unknown relation family {name!r}")
-    reports = []
-    for shape in shapes:
-        lam = tuple(Partition(shape))
-        for name in names:
-            reports.append(RELATION_FAMILIES[name](n, lam))
-    return reports

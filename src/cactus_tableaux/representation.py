@@ -23,22 +23,8 @@ from .shapes import (
     is_hook,
     transposition_word,
 )
-from .tableaux import (
-    Tableau,
-    Tabloid,
-    enumerate_ssyt,
-    enumerate_tabloids,
-    dual_reflect,
-    permutation_act_tabloid,
-    syt_tuple,
-)
-from .group_actions import (
-    BKWord,
-    RelationReport,
-    bk_t_perm,
-    interval_perm,
-    word_perm,
-)
+from .tableaux import Tableau, Tabloid, enumerate_ssyt, dual_reflect, syt_tuple
+from .group_actions import BKWord, word_perm
 
 CycleType = Partition
 
@@ -192,7 +178,9 @@ class MultiplicityVector:
         return {shape: m for shape, m in self.mults if m}
 
     def total_dimension(self) -> int:
-        return sum(m * hook_length_dim(shape) for shape, m in self.mults)
+        return sum(
+            m * hook_length_dim(shape) for shape, m in self.nonzero().items()
+        )
 
     def to_json(self) -> dict:
         return {
@@ -279,51 +267,6 @@ def kostka_vector(lam: Partition) -> MultiplicityVector:
     return MultiplicityVector(degree=n - 1, mults=mults)
 
 
-def verify_main_theorem(lam: Partition) -> RelationReport:
-    """Check the decomposition equals the Kostka vector, dimensions included."""
-    lam = Partition(lam)
-    n = lam.size
-    module_side = decompose_schutzenberger(lam)
-    kostka_side = kostka_vector(lam)
-    if module_side.mults != kostka_side.mults:
-        return RelationReport(
-            "main-theorem",
-            n,
-            tuple(lam),
-            "FAIL",
-            {
-                "module": module_side.to_json(),
-                "kostka": kostka_side.to_json(),
-            },
-        )
-    if kostka_side.total_dimension() != hook_length_dim(lam):
-        return RelationReport(
-            "main-theorem",
-            n,
-            tuple(lam),
-            "FAIL",
-            {"reason": "dimension identity fails"},
-        )
-    return RelationReport("main-theorem", n, tuple(lam), "PASS")
-
-
-def verify_two_one_case() -> RelationReport:
-    """The outlying (2,1) module: c[1,3] swaps the basis, c[1,2]/c[2,3] fix it."""
-    lam = (2, 1)
-    swap = interval_perm(lam, None, 1, 3)
-    fix12 = interval_perm(lam, None, 1, 2)
-    fix23 = interval_perm(lam, None, 2, 3)
-    ok = (
-        swap == Permutation((2, 1))
-        and fix12.is_identity()
-        and fix23.is_identity()
-    )
-    return RelationReport(
-        "two-one-case", 3, lam, "PASS" if ok else "FAIL",
-        None if ok else {"c13": repr(swap), "c12": repr(fix12), "c23": repr(fix23)},
-    )
-
-
 def fold_map(T: Tableau) -> Tabloid:
     """Detach arm and leg of a standard hook tableau and shift labels down."""
     lam = T.outer
@@ -333,34 +276,6 @@ def fold_map(T: Tableau) -> Tabloid:
     arm_entries = frozenset(e - 1 for e in T.rows[0][1:])
     leg_entries = frozenset(T.rows[i][0] - 1 for i in range(1, len(T.rows)))
     return Tabloid(shape=hook.tilde, rows=(arm_entries, leg_entries))
-
-
-def verify_fold_equivariance(lam: Partition) -> RelationReport:
-    """Fold is a bijection intertwining s_i with t_{i+1}."""
-    lam = Partition(lam)
-    hook = HookShape.from_partition(lam)
-    n = lam.size
-    tabs = syt_tuple(tuple(lam))
-    folded = [fold_map(t) for t in tabs]
-    if len(set(folded)) != len(folded) or len(folded) != len(
-        enumerate_tabloids(hook.tilde)
-    ):
-        return RelationReport(
-            "fold-equivariance", n, tuple(lam), "FAIL",
-            {"reason": "fold is not a bijection"},
-        )
-    for i in range(1, n - 1):
-        perm = bk_t_perm(tuple(lam), None, i + 1)
-        s_i = Permutation.transposition(n - 1, i, i + 1)
-        for j, t in enumerate(tabs):
-            lhs = folded[perm(j + 1) - 1]
-            rhs = permutation_act_tabloid(s_i, folded[j])
-            if lhs != rhs:
-                return RelationReport(
-                    "fold-equivariance", n, tuple(lam), "FAIL",
-                    {"i": i, "tableau": t.to_json()},
-                )
-    return RelationReport("fold-equivariance", n, tuple(lam), "PASS")
 
 
 def delta_eigenspace_dims(lam: Partition) -> tuple[int, int]:
@@ -391,9 +306,6 @@ __all__ = [
     "schutzenberger_perm_character",
     "decompose_schutzenberger",
     "kostka_vector",
-    "verify_main_theorem",
-    "verify_two_one_case",
     "fold_map",
-    "verify_fold_equivariance",
     "delta_eigenspace_dims",
 ]

@@ -1,9 +1,15 @@
-"""Batch verification driver.
+"""Relation checks, the one check registry, and the batch verification driver.
 
-Each check is an entry of the registry ``CHECKS``: how a job runs it, the
-shapes it applies to, and the shapes on which it is expected to pass.  The
-star relation is predicted to fail off hooks and (2,2), so those failures
-are recorded as EXPECTED-FAIL, and a pass there is itself a suite failure
+A check is a function ``(n, shape, seed=0)`` that decides one claim on one
+domain and returns a :class:`RelationReport`: PASS, or FAIL with a
+replayable counterexample.  Two words are compared extensionally, through
+the permutations they induce on SSYT(shape, n) or SYT(shape), and the first
+tableau on which they differ is reported.
+
+``CHECKS`` is the registry: the check function of each name, the shapes it
+applies to, and the shapes on which it is expected to pass.  The star
+relation is predicted to fail off hooks and (2,2), so those failures are
+recorded as EXPECTED-FAIL, and a pass there is itself a suite failure
 (UNEXPECTED-PASS).
 
 Every (n, shape, check) job of a run is grouped into one shard per
@@ -16,65 +22,406 @@ count.
 
 from __future__ import annotations
 
+import itertools
 import os
+import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple, Optional
 
-from .shapes import Partition, conjugate, enumerate_partitions, is_hook
+from .shapes import (
+    Interval,
+    Partition,
+    Permutation,
+    conjugate,
+    enumerate_partitions,
+    is_hook,
+)
+from .tableaux import (
+    enumerate_tabloids,
+    permutation_act_tabloid,
+    ssyt_tuple,
+    syt_tuple,
+)
 from .group_actions import (
-    RELATION_FAMILIES,
-    RelationReport,
-    star_relation_expected,
+    BKAtom,
+    BKWord,
+    CactusWord,
+    Word,
+    bk_t_perm,
+    chi_translate,
+    interval_perm,
+    promotion_perm,
+    word_perm,
 )
 from .representation import (
-    verify_fold_equivariance,
-    verify_main_theorem,
-    verify_two_one_case,
+    HookShape,
+    decompose_schutzenberger,
+    fold_map,
+    hook_length_dim,
+    kostka_vector,
 )
 
 HARD_CAP = 10
 
 WORKERS_ENV = "CACTUS_TABLEAUX_WORKERS"
 
-Job = tuple[int, tuple[int, ...], str, int]  # (n, shape, check, seed)
+CHI_SAMPLES = 50  # random cactus words per chi-consistency job
+
+Shape = tuple[int, ...]
+Job = tuple[int, Shape, str, int]  # (n, shape, check, seed)
+
+
+@dataclass(frozen=True)
+class RelationReport:
+    relation: str
+    n: int
+    shape: Optional[tuple[int, ...]]
+    status: str  # PASS | FAIL
+    counterexample: Optional[dict] = None
+
+    @property
+    def passed(self) -> bool:
+        return self.status == "PASS"
+
+    def to_json(self) -> dict:
+        obj: dict = {
+            "relation": self.relation,
+            "n": self.n,
+            "shape": list(self.shape) if self.shape is not None else None,
+            "status": self.status,
+        }
+        if self.counterexample is not None:
+            obj["counterexample"] = self.counterexample
+        return obj
+
+
+# ---------------------------------------------------------------------------
+# Comparing permutations of a domain.
+
+
+def _compare(
+    relation: str,
+    n: int,
+    lam: Shape,
+    domain: str,
+    comparisons: Iterable[tuple[Permutation, Permutation, dict]],
+) -> RelationReport:
+    """PASS, or FAIL at the first comparison whose two sides differ.
+
+    ``comparisons`` yields (lhs, rhs, fields) and is consumed lazily, so
+    no permutation after the first failure is built.  The counterexample
+    is the first tableau of the domain on which the sides differ, followed
+    by the comparison's fields.
+    """
+    for lhs, rhs, fields in comparisons:
+        if lhs != rhs:
+            tabs = ssyt_tuple(lam, n) if domain == "ssyt" else syt_tuple(lam)
+            i = next(i for i, x in enumerate(lhs.images) if x != rhs.images[i])
+            ce = {"tableau": tabs[i].to_json(), **fields}
+            return RelationReport(relation, n, lam, "FAIL", ce)
+    return RelationReport(relation, n, lam, "PASS")
+
+
+def _check_word_pairs(
+    relation: str,
+    n: int,
+    shape: Shape,
+    pairs: Iterable[tuple[str, Word, Word]],
+    domain: str,
+) -> RelationReport:
+    lam = tuple(Partition(shape))
+    comparisons = (
+        (
+            word_perm(lhs, lam, n, domain),
+            word_perm(rhs, lam, n, domain),
+            {"instance": name, "lhs": str(lhs), "rhs": str(rhs)},
+        )
+        for name, lhs, rhs in pairs
+    )
+    return _compare(relation, n, lam, domain, comparisons)
+
+
+# ---------------------------------------------------------------------------
+# Both sides of each relation, as words.
+
+
+def _cw(n: int, *factors: tuple[int, int]) -> CactusWord:
+    return CactusWord(n, tuple(Interval(*f) for f in factors))
+
+
+def _bw(n: int, *atoms: BKAtom) -> BKWord:
+    return BKWord(n, tuple(atoms))
+
+
+def _intervals(n: int) -> list[Interval]:
+    return [Interval(a, b) for a in range(1, n) for b in range(a + 1, n + 1)]
+
+
+def _interval_pairs(n: int) -> Iterable[tuple[Interval, Interval]]:
+    """Ordered pairs (J, K) of generator intervals, lexicographic in J, then K."""
+    return itertools.product(_intervals(n), repeat=2)
+
+
+def _nested(J: Interval, K: Interval) -> bool:
+    return J.a <= K.a and K.b <= J.b
+
+
+def _reflect(J: Interval, K: Interval) -> Interval:
+    """K reflected inside J."""
+    return Interval(J.a + J.b - K.b, J.a + J.b - K.a)
+
+
+def cactus_defining_pairs(n: int) -> list[tuple[str, CactusWord, CactusWord]]:
+    """Both sides of every defining relation, as words."""
+    e = _cw(n)
+    pairs = [(f"{J}^2", _cw(n, J, J), e) for J in _intervals(n)]
+    for J, K in _interval_pairs(n):
+        if J.b < K.a or K.b < J.a:
+            pairs.append((f"{J}{K} disjoint", _cw(n, J, K), _cw(n, K, J)))
+        elif _nested(J, K) and J != K:
+            pairs.append((f"{J}{K} nested", _cw(n, J, K), _cw(n, _reflect(J, K), J)))
+    return pairs
+
+
+def bk_relation_pairs(n: int) -> list[tuple[str, BKWord, BKWord]]:
+    pairs = []
+    e = _bw(n)
+    for k in range(1, n):
+        pairs.append((f"t{k}^2", _bw(n, ("t", k), ("t", k)), e))
+    for k in range(1, n):
+        for l in range(k + 2, n):
+            pairs.append(
+                (
+                    f"t{k} t{l} commute",
+                    _bw(n, ("t", k), ("t", l)),
+                    _bw(n, ("t", l), ("t", k)),
+                )
+            )
+    if n >= 3:
+        pairs.append(("(t1 t2)^6", _bw(n, ("t", 1), ("t", 2)) ** 6, e))
+    for k in range(3, n):
+        pairs.append(
+            (f"(t1 q{k})^4", _bw(n, ("t", 1), ("q", k)) ** 4, e)
+        )
+    return pairs
+
+
+def _star_pairs(n: int, e: int) -> list[tuple[str, BKWord, BKWord]]:
+    """(t_k t_{k+1})^e against the identity, for 2 <= k <= n - 2."""
+    one = _bw(n)
+    return [
+        (f"(t{k} t{k + 1})^{e}", _bw(n, ("t", k), ("t", k + 1)) ** e, one)
+        for k in range(2, n - 1)
+    ]
+
+
+# ---------------------------------------------------------------------------
+# The checks, each (n, shape, seed=0) -> RelationReport.
+
+
+def check_cactus_defining(n: int, shape: Shape, seed: int = 0) -> RelationReport:
+    return _check_word_pairs(
+        "cactus-defining", n, shape, cactus_defining_pairs(n), "ssyt"
+    )
+
+
+def check_xi_relations(n: int, shape: Shape, seed: int = 0) -> RelationReport:
+    """The two interval-involution relations: disjoint and nesting."""
+    pairs = [
+        (f"xi[{J.a},{J.b}] xi[{K.a},{K.b}] commute", _cw(n, J, K), _cw(n, K, J))
+        for J, K in _interval_pairs(n)
+        if J.b + 1 < K.a
+    ]
+    pairs += [
+        (
+            f"xi[{J.a},{J.b}] xi[{K.a},{K.b}] xi[{J.a},{J.b}]",
+            _cw(n, J, K, J),
+            _cw(n, _reflect(J, K)),
+        )
+        for J, K in _interval_pairs(n)
+        if _nested(J, K)
+    ]
+    return _check_word_pairs("xi-relations", n, shape, pairs, "ssyt")
+
+
+def check_bk_relations(n: int, shape: Shape, seed: int = 0) -> RelationReport:
+    return _check_word_pairs(
+        "bk-relations", n, shape, bk_relation_pairs(n), "ssyt"
+    )
+
+
+def check_pq_promotion(n: int, shape: Shape, seed: int = 0) -> RelationReport:
+    """p_k acts as bounded promotion at k+1; q_k as xi_[1,k+1]."""
+    lam = tuple(Partition(shape))
+
+    def comparisons():
+        for k in range(1, n):
+            yield (
+                word_perm(_bw(n, ("p", k)), lam, n, "ssyt"),
+                promotion_perm(lam, n, k + 1),
+                {"instance": f"p{k} vs promotion_{k + 1}"},
+            )
+            yield (
+                word_perm(_bw(n, ("q", k)), lam, n, "ssyt"),
+                interval_perm(lam, n, 1, k + 1),
+                {"instance": f"q{k} vs xi[1,{k + 1}]"},
+            )
+
+    return _compare("pq-promotion", n, lam, "ssyt", comparisons())
+
+
+def check_chi_consistency(n: int, shape: Shape, seed: int = 0) -> RelationReport:
+    """Cactus words and their translations induce the same permutation."""
+    lam = tuple(Partition(shape))
+    intervals = _intervals(n)
+    words = [_cw(n, J) for J in intervals]
+    rng = random.Random(seed)
+    # At n = 1 there is no generator to sample from.
+    for _ in range(CHI_SAMPLES if intervals else 0):
+        length = rng.randint(1, 6)
+        words.append(
+            _cw(n, *(rng.choice(intervals) for _ in range(length)))
+        )
+
+    def comparisons():
+        for w in words:
+            translated = chi_translate(w)
+            yield (
+                word_perm(w, lam, n, "ssyt"),
+                word_perm(translated, lam, n, "ssyt"),
+                {"lhs": str(w), "rhs": str(translated)},
+            )
+
+    return _compare("chi-consistency", n, lam, "ssyt", comparisons())
+
+
+def check_reduced_cactus(n: int, shape: Shape, seed: int = 0) -> RelationReport:
+    """The braid-like quotient relations act trivially on SYT."""
+    e = _cw(n)
+    pairs = [
+        ("(c[1,2] c[2,3])^3", _cw(n, (1, 2), (2, 3)) ** 3, e),
+        ("(c[1,2] c[1,3])^6", _cw(n, (1, 2), (1, 3)) ** 6, e),
+    ] if n >= 3 else []
+    return _check_word_pairs("reduced-cactus", n, shape, pairs, "syt")
+
+
+def check_star_relation(n: int, shape: Shape, seed: int = 0) -> RelationReport:
+    """(t_k t_{k+1})^3 = 1 on SYT for k >= 2; holds iff hook or (2,2)."""
+    return _check_word_pairs("star", n, shape, _star_pairs(n, 3), "syt")
+
+
+def check_star_sixth(n: int, shape: Shape, seed: int = 0) -> RelationReport:
+    """(t_k t_{k+1})^6 = 1 on SYT for every shape."""
+    return _check_word_pairs("star-sixth", n, shape, _star_pairs(n, 6), "syt")
+
+
+def star_relation_expected(shape: Partition) -> bool:
+    """Shapes on which the star relation is predicted to hold."""
+    lam = Partition(shape)
+    return is_hook(lam) or lam == Partition((2, 2))
+
+
+# ---------------------------------------------------------------------------
+# The hook-shape theorems on SYT.
+
+
+def verify_main_theorem(lam: Partition) -> RelationReport:
+    """Check the decomposition equals the Kostka vector, dimensions included."""
+    lam = Partition(lam)
+    n = lam.size
+    module_side = decompose_schutzenberger(lam)
+    kostka_side = kostka_vector(lam)
+    if module_side.mults != kostka_side.mults:
+        ce = {"module": module_side.to_json(), "kostka": kostka_side.to_json()}
+    elif kostka_side.total_dimension() != hook_length_dim(lam):
+        ce = {"reason": "dimension identity fails"}
+    else:
+        return RelationReport("main-theorem", n, tuple(lam), "PASS")
+    return RelationReport("main-theorem", n, tuple(lam), "FAIL", ce)
+
+
+def verify_two_one_case() -> RelationReport:
+    """The outlying (2,1) module: c[1,3] swaps the basis, c[1,2]/c[2,3] fix it."""
+    lam = (2, 1)
+    swap = interval_perm(lam, None, 1, 3)
+    fix12 = interval_perm(lam, None, 1, 2)
+    fix23 = interval_perm(lam, None, 2, 3)
+    ok = (
+        swap == Permutation((2, 1))
+        and fix12.is_identity()
+        and fix23.is_identity()
+    )
+    return RelationReport(
+        "two-one-case", 3, lam, "PASS" if ok else "FAIL",
+        None if ok else {"c13": repr(swap), "c12": repr(fix12), "c23": repr(fix23)},
+    )
+
+
+def verify_fold_equivariance(lam: Partition) -> RelationReport:
+    """Fold is a bijection intertwining s_i with t_{i+1}."""
+    lam = Partition(lam)
+    hook = HookShape.from_partition(lam)
+    n = lam.size
+    tabs = syt_tuple(tuple(lam))
+    folded = [fold_map(t) for t in tabs]
+    if len(set(folded)) != len(folded) or len(folded) != len(
+        enumerate_tabloids(hook.tilde)
+    ):
+        return RelationReport(
+            "fold-equivariance", n, tuple(lam), "FAIL",
+            {"reason": "fold is not a bijection"},
+        )
+    for i in range(1, n - 1):
+        perm = bk_t_perm(tuple(lam), None, i + 1)
+        s_i = Permutation.transposition(n - 1, i, i + 1)
+        for j, t in enumerate(tabs):
+            lhs = folded[perm(j + 1) - 1]
+            rhs = permutation_act_tabloid(s_i, folded[j])
+            if lhs != rhs:
+                return RelationReport(
+                    "fold-equivariance", n, tuple(lam), "FAIL",
+                    {"i": i, "tableau": t.to_json()},
+                )
+    return RelationReport("fold-equivariance", n, tuple(lam), "PASS")
+
+
+def check_main_theorem(n: int, shape: Shape, seed: int = 0) -> RelationReport:
+    """The hook theorem on SYT(shape); (2,1) is its outlying case."""
+    if shape == (2, 1):
+        return verify_two_one_case()
+    return verify_main_theorem(Partition(shape))
+
+
+def check_fold_equivariance(n: int, shape: Shape, seed: int = 0) -> RelationReport:
+    return verify_fold_equivariance(Partition(shape))
+
+
+# ---------------------------------------------------------------------------
+# The registry and the driver.
 
 
 class Check(NamedTuple):
-    run: Callable[[int, tuple[int, ...], int], RelationReport]  # (n, shape, seed)
+    run: Callable[..., RelationReport]  # (n, shape, seed)
     applies: Callable[[Partition], bool] = lambda lam: True  # shapes to run on
     expected: Callable[[Partition], bool] = lambda lam: True  # shapes it holds on
-
-
-def _family(name: str, **kw) -> Check:
-    # Looked up when the job runs, so that a wrapper put into
-    # RELATION_FAMILIES later (perfbench's tracer) sees the call.
-    return Check(lambda n, shape, seed: RELATION_FAMILIES[name](n, shape), **kw)
 
 
 def _on_hooks(lam: Partition) -> bool:
     return is_hook(lam) and lam.size >= 2
 
 
-def _main_theorem(n: int, shape: tuple[int, ...], seed: int) -> RelationReport:
-    if shape == (2, 1):
-        return verify_two_one_case()
-    return verify_main_theorem(Partition(shape))
-
-
-# The overriding entries keep the place of the family they replace.
-CHECKS: dict[str, Check] = {name: _family(name) for name in RELATION_FAMILIES} | {
-    "chi-consistency": Check(
-        lambda n, shape, seed: RELATION_FAMILIES["chi-consistency"](
-            n, shape, seed=seed
-        )
-    ),
-    "star": _family("star", expected=star_relation_expected),
-    "main-theorem": Check(_main_theorem, applies=_on_hooks),
-    "fold-equivariance": Check(
-        lambda n, shape, seed: verify_fold_equivariance(Partition(shape)),
-        applies=_on_hooks,
-    ),
+CHECKS: dict[str, Check] = {
+    "cactus-defining": Check(check_cactus_defining),
+    "xi-relations": Check(check_xi_relations),
+    "bk-relations": Check(check_bk_relations),
+    "pq-promotion": Check(check_pq_promotion),
+    "chi-consistency": Check(check_chi_consistency),
+    "reduced-cactus": Check(check_reduced_cactus),
+    "star": Check(check_star_relation, expected=star_relation_expected),
+    "star-sixth": Check(check_star_sixth),
+    "main-theorem": Check(check_main_theorem, applies=_on_hooks),
+    "fold-equivariance": Check(check_fold_equivariance, applies=_on_hooks),
 }
 ALL_CHECKS = tuple(CHECKS)
 
@@ -156,19 +503,21 @@ def _ssyt_count(lam: tuple[int, ...], m: int) -> int:
     return num // den
 
 
-def _classify(name: str, shape: tuple[int, ...], report: RelationReport) -> str:
+def _classify(name: str, shape: Shape, report: RelationReport) -> str:
     if CHECKS[name].expected(Partition(shape)):
         return report.status
     return "EXPECTED-FAIL" if report.status == "FAIL" else "UNEXPECTED-PASS"
 
 
 def batch_verify(config: RunConfig) -> Summary:
+    # Each distinct check once, in first-seen order, like the shapes.
+    names = dict.fromkeys(config.relations)
     shards: list[list[Job]] = []
     for n in range(config.n_min, config.n_max + 1):
         for shape in _shapes_for(config, n):
             shard = [
                 (n, tuple(shape), name, config.seed)
-                for name in config.relations
+                for name in names
                 if CHECKS[name].applies(shape)
             ]
             if shard:

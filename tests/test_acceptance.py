@@ -35,6 +35,13 @@ from cactus_tableaux import (
 from cactus_tableaux.gt_patterns import bk_tau
 from cactus_tableaux.group_actions import (
     CactusWord,
+    generator_permutation,
+    parse_bk_word,
+    word_perm,
+)
+from cactus_tableaux.shapes import Interval, Partition, Permutation
+from cactus_tableaux.tableaux import syt_tuple
+from cactus_tableaux.verify import (
     check_bk_relations,
     check_cactus_defining,
     check_pq_promotion,
@@ -42,12 +49,7 @@ from cactus_tableaux.group_actions import (
     check_star_relation,
     check_star_sixth,
     check_xi_relations,
-    generator_permutation,
-    parse_bk_word,
-    word_perm,
 )
-from cactus_tableaux.shapes import Interval, Partition, Permutation
-from cactus_tableaux.tableaux import syt_tuple
 
 from helpers import character_table_oracle, skew_fillings, subpartitions
 

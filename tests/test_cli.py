@@ -160,6 +160,19 @@ def test_verify_failure_exit_code(capsys):
     assert lines[-1]["summary"]["failed"] == 1
 
 
+def test_verify_repeated_relation_is_checked_once(capsys):
+    code, lines = run(
+        capsys,
+        "verify", "relations", "--n", "3", "--shapes", "[[2,1]]",
+        "--relations", "star,star",
+    )
+    assert code == 0
+    assert lines == [
+        {"relation": "star", "n": 3, "shape": [2, 1], "status": "PASS"},
+        {"summary": {"checked": 1, "passed": 1, "failed": 0}},
+    ]
+
+
 def test_verify_main_theorem_target(capsys):
     code, lines = run(capsys, "verify", "main-theorem", "--n", "5")
     assert code == 0

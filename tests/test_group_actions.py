@@ -17,14 +17,6 @@ from cactus_tableaux.group_actions import (
     bk_act,
     bk_t_perm,
     cactus_act,
-    check_bk_relations,
-    check_cactus_defining,
-    check_chi_consistency,
-    check_pq_promotion,
-    check_reduced_cactus,
-    check_star_relation,
-    check_star_sixth,
-    check_xi_relations,
     chi_translate,
     generated_group_order,
     generator_permutation,
@@ -35,8 +27,6 @@ from cactus_tableaux.group_actions import (
     parse_word,
     pi_ij_image,
     pi_k_image,
-    relation_report,
-    star_relation_expected,
     word_perm,
 )
 from cactus_tableaux.gt_patterns import (
@@ -64,6 +54,17 @@ from cactus_tableaux.tableaux import (
     enumerate_syt,
     ssyt_tuple,
     syt_tuple,
+)
+from cactus_tableaux.verify import (
+    check_bk_relations,
+    check_cactus_defining,
+    check_chi_consistency,
+    check_pq_promotion,
+    check_reduced_cactus,
+    check_star_relation,
+    check_star_sixth,
+    check_xi_relations,
+    star_relation_expected,
 )
 
 
@@ -349,13 +350,6 @@ class TestRelationCheckers:
         assert star_relation_expected(Partition((4, 1)))
         assert star_relation_expected(Partition((2, 2)))
         assert not star_relation_expected(Partition((3, 2)))
-
-    def test_relation_report_runs_selected_families(self):
-        reports = relation_report(3, [Partition((2, 1))], ["cactus-defining"])
-        assert len(reports) == 1
-        assert reports[0].relation == "cactus-defining"
-        with pytest.raises(ValueError):
-            relation_report(3, [Partition((2, 1))], ["no-such-family"])
 
     def test_every_generator_is_an_involution_on_syt(self):
         from cactus_tableaux import enumerate_partitions

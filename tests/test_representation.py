@@ -18,12 +18,14 @@ from cactus_tableaux.representation import (
     mn_character,
     schutzenberger_perm_character,
     tilde_composition,
+)
+from cactus_tableaux.shapes import Composition, Partition, enumerate_partitions, is_hook
+from cactus_tableaux.tableaux import Tableau, Tabloid, enumerate_syt
+from cactus_tableaux.verify import (
     verify_fold_equivariance,
     verify_main_theorem,
     verify_two_one_case,
 )
-from cactus_tableaux.shapes import Composition, Partition, enumerate_partitions, is_hook
-from cactus_tableaux.tableaux import Tableau, Tabloid, enumerate_syt
 
 from helpers import character_table_oracle, kostka_oracle, perm_module_character
 

@@ -1,12 +1,15 @@
-"""The batch verification driver."""
+"""The relation checks and the batch verification driver."""
 
 import io
+import json
 from pathlib import Path
 
 import pytest
 
+from cactus_tableaux import verify
 from cactus_tableaux.cli import _emit_summary
-from cactus_tableaux.shapes import enumerate_partitions
+from cactus_tableaux.group_actions import BKWord
+from cactus_tableaux.shapes import Permutation, enumerate_partitions
 from cactus_tableaux.tableaux import enumerate_ssyt
 from cactus_tableaux.verify import (
     ALL_CHECKS,
@@ -41,6 +44,21 @@ class TestRunConfig:
     def test_all_checks_includes_theorem_suites(self):
         assert "main-theorem" in ALL_CHECKS
         assert "fold-equivariance" in ALL_CHECKS
+
+    def test_all_checks_order_is_pinned(self):
+        # The order is the --relations help text and the job order in a shard.
+        assert ALL_CHECKS == (
+            "cactus-defining",
+            "xi-relations",
+            "bk-relations",
+            "pq-promotion",
+            "chi-consistency",
+            "reduced-cactus",
+            "star",
+            "star-sixth",
+            "main-theorem",
+            "fold-equivariance",
+        )
 
 
 def test_default_workers_env(monkeypatch):
@@ -163,6 +181,68 @@ def test_repeated_explicit_shape_is_checked_once(shapes):
     ]
 
 
+@pytest.mark.parametrize(
+    "relations", [("star", "star"), ("star", "cactus-defining", "star")]
+)
+def test_repeated_relation_is_checked_once(relations):
+    summary = batch_verify(make_config(shapes=((2, 1),), relations=relations))
+    assert [r["relation"] for r in summary.records] == sorted(set(relations))
+    assert summary.checked == len(set(relations))
+
+
+def _reversed(p: Permutation) -> Permutation:
+    return Permutation(tuple(reversed(p.images)))
+
+
+@pytest.mark.parametrize(
+    "target, at, instance",
+    [
+        ("promotion_perm", (2,), "p1 vs promotion_2"),
+        ("interval_perm", (1, 3), "q2 vs xi[1,3]"),
+    ],
+)
+def test_pq_promotion_failure_record(monkeypatch, target, at, instance):
+    real = getattr(verify, target)
+
+    def broken(lam, m, *args):
+        p = real(lam, m, *args)
+        return _reversed(p) if args == at else p
+
+    monkeypatch.setattr(verify, target, broken)
+    report = verify.check_pq_promotion(3, (2, 1))
+    assert json.dumps(report.to_json()) == (
+        '{"relation": "pq-promotion", "n": 3, "shape": [2, 1], "status": "FAIL", '
+        '"counterexample": {"tableau": {"rows": [[1, 1], [2]]}, '
+        f'"instance": "{instance}"}}}}'
+    )
+
+
+def test_chi_consistency_failure_record(monkeypatch):
+    # Every word translates to t1, which is c[1,2] but not c[1,3].
+    monkeypatch.setattr(verify, "chi_translate", lambda w: BKWord(w.n, (("t", 1),)))
+    report = verify.check_chi_consistency(3, (2, 1))
+    assert json.dumps(report.to_json()) == (
+        '{"relation": "chi-consistency", "n": 3, "shape": [2, 1], "status": "FAIL", '
+        '"counterexample": {"tableau": {"rows": [[1, 1], [2]]}, '
+        '"lhs": "c[1,3]", "rhs": "t1"}}'
+    )
+
+
+def test_a_check_builds_nothing_after_its_first_failure(monkeypatch):
+    built = []
+    real = verify.word_perm
+
+    def counted(w, *args):
+        built.append(str(w))
+        return real(w, *args)
+
+    monkeypatch.setattr(verify, "word_perm", counted)
+    report = verify.check_star_relation(5, (3, 2))
+    assert report.counterexample["instance"] == "(t2 t3)^3"
+    # (t3 t4)^3 and its identity are never built.
+    assert built == [str(BKWord(5, (("t", 2), ("t", 3))) ** 3), "<identity>"]
+
+
 def test_two_one_main_theorem_record():
     summary = batch_verify(
         make_config(shapes=((2, 1),), relations=("main-theorem",))
@@ -176,6 +256,7 @@ def test_two_one_main_theorem_record():
     "config, expected_file",
     [
         (RunConfig(n_min=2, n_max=4), "smoke-relations-n4.jsonl"),
+        (RunConfig(n_min=2, n_max=5), "relations-n5.jsonl"),
         (
             RunConfig(
                 n_min=4, n_max=5, shapes="hooks", relations=("main-theorem",)
@@ -193,7 +274,7 @@ def test_two_one_main_theorem_record():
             "hooks-n12.jsonl",
         ),
     ],
-    ids=["relations-n4", "hooks-n5", "hooks-n12"],
+    ids=["relations-n4", "relations-n5", "hooks-n5", "hooks-n12"],
 )
 def test_records_match_the_committed_smoke_run(config, expected_file):
     # The full record stream of a run, rendered as the CLI renders it,
