@@ -17,7 +17,16 @@ from typing import Iterable, Optional, Union
 from .shapes import Interval, Partition, Permutation
 from .sliding import _evacuate_rows, _interval_rows, _promote_rows
 from .gt_patterns import _swap_rows, _swapped
-from .tableaux import Rows, Tableau, _straight_ssyt_rows, ssyt_tuple, syt_tuple
+from .tableaux import (
+    Rows,
+    Tableau,
+    _ssyt_count,
+    _ssyt_rows,
+    _straight_ssyt_rows,
+    _syt_count,
+    _syt_rows,
+    syt_tuple,
+)
 
 
 @dataclass(frozen=True)
@@ -209,10 +218,23 @@ def pi_ij_image(w: CactusWord, i: int, j: int) -> Permutation:
 def _index(lam: tuple[int, ...], m: Optional[int]) -> dict[Rows, int]:
     """Positions in the domain (lam, m), keyed by the rows of each tableau.
 
-    The domain is SSYT(lam, m), or SYT(lam) if m is None.
+    The domain is SSYT(lam, m), or SYT(lam) if m is None, in the order of
+    ``ssyt_tuple`` and ``syt_tuple``, built from the row enumerators
+    without a ``Tableau``.  Its post-condition, checked in every run mode:
+    the domain has as many distinct rows as the hook-length (SYT) or
+    hook-content (SSYT) formula counts.
     """
-    tabs = syt_tuple(lam) if m is None else ssyt_tuple(lam, m)
-    return {t.rows: i for i, t in enumerate(tabs)}
+    if m is None:
+        rows, count = _syt_rows(lam), _syt_count(lam)
+    else:
+        rows, count = _ssyt_rows(lam, m), _ssyt_count(lam, m)
+    index = {key: i for i, key in enumerate(rows)}
+    if len(index) != count:
+        raise AssertionError(
+            f"the domain {lam}, m = {m} has {len(index)} distinct tableaux,"
+            f" not {count}"
+        )
+    return index
 
 
 def _induced_perm(lam: tuple[int, ...], m: Optional[int], f, what: str) -> Permutation:

@@ -12,7 +12,6 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
 
 from .shapes import (
     Composition,
@@ -23,7 +22,14 @@ from .shapes import (
     is_hook,
     transposition_word,
 )
-from .tableaux import Tableau, Tabloid, enumerate_ssyt, dual_reflect, syt_tuple
+from .tableaux import (
+    Tableau,
+    Tabloid,
+    _ssyt_rows,
+    _syt_count,
+    dual_reflect,
+    syt_tuple,
+)
 from .group_actions import BKWord, word_perm
 
 CycleType = Partition
@@ -57,15 +63,7 @@ def tilde_composition(lam: Partition) -> Composition:
 
 def hook_length_dim(lam: Partition) -> int:
     """Number of standard tableaux by the hook-length product formula."""
-    lam = Partition(lam)
-    if lam.size == 0:
-        return 1
-    conj = conjugate(lam)
-    prod = 1
-    for i, row in enumerate(lam):
-        for j in range(row):
-            prod *= (row - j) + (conj[j] - i) - 1
-    return math.factorial(lam.size) // prod
+    return _syt_count(Partition(lam))
 
 
 def kostka_number(mu: Partition, nu: Composition) -> int:
@@ -74,46 +72,52 @@ def kostka_number(mu: Partition, nu: Composition) -> int:
     nu = Composition(nu)
     if mu.size != nu.size:
         raise ValueError(f"|{mu}| != |{nu}|")
-    m = max(len(nu), 1)
-    return len(enumerate_ssyt(mu, m, content_filter=nu))
+    return len(_ssyt_rows(mu, max(len(nu), 1), nu))
 
 
-def _border_strips(lam: Partition, length: int) -> Iterator[tuple[Partition, int]]:
-    """Yield (remaining shape, strip height) for each removable border strip.
-
-    Uses beta-numbers: removing a strip of the given length moves one
-    beta-number down by that length onto a free slot; the height is the
-    number of beta-numbers it jumps over.
-    """
-    lam = Partition(lam)
-    r = len(lam)
-    beta = [lam[i] + (r - 1 - i) for i in range(r)]  # strictly decreasing
-    bset = set(beta)
-    for b in beta:
-        nb = b - length
-        if nb >= 0 and nb not in bset:
-            height = sum(1 for x in beta if nb < x < b)
-            new_beta = sorted((bset - {b}) | {nb}, reverse=True)
-            # Distinct nonnegative beta-numbers give a partition.
-            new_lam = tuple(x - (r - 1 - i) for i, x in enumerate(new_beta))
-            yield Partition._unchecked(new_lam), height
+def _beta(mu: Partition) -> tuple[int, ...]:
+    """The len(mu) beta-numbers mu_i + len(mu) - i, strictly decreasing."""
+    r = len(mu)
+    return tuple(p + r - 1 - i for i, p in enumerate(mu))
 
 
 @lru_cache(maxsize=None)
+def _mn(beta: tuple[int, ...], rho: tuple[int, ...]) -> int:
+    """The character at cycle type rho of the irreducible with beta-numbers
+    beta, by border-strip removal.
+
+    Removing a border strip of length rho[0] moves one beta-number b down
+    to a free slot b - rho[0]; the strip's height is the number of
+    beta-numbers it jumps over.  The new tuple keeps the length of beta and
+    its decreasing order, so no normalisation is needed, and once one
+    beta-number would go below 0 every later one would too.
+    """
+    if not rho:
+        return 1  # beta is the empty partition's, as the sizes agree
+    part, rest = rho[0], rho[1:]
+    r = len(beta)
+    total = 0
+    for i, b in enumerate(beta):
+        nb = b - part
+        if nb < 0:
+            break
+        j = i + 1
+        while j < r and beta[j] > nb:
+            j += 1
+        if j < r and beta[j] == nb:
+            continue  # the slot is taken: no strip starts here
+        value = _mn(beta[:i] + beta[i + 1 : j] + (nb,) + beta[j:], rest)
+        total += -value if (j - i - 1) % 2 else value
+    return total
+
+
 def mn_character(mu: Partition, rho: CycleType) -> int:
     """Character value of the irreducible mu at cycle type rho."""
     mu = Partition(mu)
     rho = Partition(rho)
     if mu.size != rho.size:
         raise ValueError(f"|{mu}| != |{rho}|")
-    if mu.size == 0:
-        return 1
-    part = rho[0]
-    rest = Partition._unchecked(rho[1:])
-    total = 0
-    for rem, height in _border_strips(mu, part):
-        total += (-1) ** height * mn_character(rem, rest)
-    return total
+    return _mn(_beta(mu), rho)
 
 
 def class_size(rho: CycleType) -> int:
@@ -154,9 +158,7 @@ def character_table(m: int) -> CharacterValueTable:
     if m < 1:
         raise ValueError("degree must be >= 1")
     parts = tuple(enumerate_partitions(m))
-    values = tuple(
-        tuple(mn_character(mu, rho) for rho in parts) for mu in parts
-    )
+    values = tuple(tuple(_mn(_beta(mu), rho) for rho in parts) for mu in parts)
     return CharacterValueTable(degree=m, partitions=parts, values=values)
 
 

@@ -8,6 +8,7 @@ and shared between threads.
 from __future__ import annotations
 
 import operator
+from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple
 
 
@@ -114,20 +115,27 @@ def is_hook(lam: Partition) -> bool:
 
 
 def enumerate_partitions(n: int) -> list[Partition]:
-    """All partitions of n in reverse-lexicographic order, (n) first."""
+    """All partitions of n in reverse-lexicographic order, (n) first.
+
+    A fresh list each call, over one cached tuple per n.
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
+    return list(_partitions(n))
 
+
+@lru_cache(maxsize=None)
+def _partitions(n: int) -> tuple[Partition, ...]:
     def gen(rest: int, max_part: int, prefix: list[int]) -> Iterator[Partition]:
         if rest == 0:
-            yield Partition(prefix)
+            yield Partition._unchecked(tuple(prefix))
             return
         for p in range(min(rest, max_part), 0, -1):
             prefix.append(p)
             yield from gen(rest - p, p, prefix)
             prefix.pop()
 
-    return list(gen(n, n, [])) if n > 0 else [Partition()]
+    return tuple(gen(n, n, [])) if n > 0 else (Partition(),)
 
 
 class Permutation:

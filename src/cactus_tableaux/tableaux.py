@@ -9,6 +9,7 @@ integers.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
@@ -244,35 +245,112 @@ def dual_reflect(T: Tableau) -> Tableau:
     return Tableau(rows=tuple(cols))
 
 
+def _syt_rows(lam: tuple[int, ...]) -> list[Rows]:
+    """The rows of every standard tableau of straight shape lam.
+
+    Order: lexicographic on the row-reading word.  Every tableau of one
+    shape has rows of the same lengths, so sorting the row tuples sorts
+    the reading words.
+    """
+    n = sum(lam)
+    rows: list[list[int]] = [[] for _ in lam]
+    out: list[Rows] = []
+
+    def place(value: int) -> None:
+        if value > n:
+            out.append(tuple(map(tuple, rows)))
+            return
+        above = n  # the length of the row above; row 0 has none
+        for row, length in zip(rows, lam):
+            c = len(row)
+            if c < length and c < above:
+                row.append(value)
+                place(value + 1)
+                row.pop()
+            above = c
+
+    place(1)
+    out.sort()
+    return out
+
+
+def _ssyt_rows(
+    lam: tuple[int, ...], m: int, counts: Optional[tuple[int, ...]] = None
+) -> list[Rows]:
+    """The rows of every semistandard tableau of straight shape lam over 1..m.
+
+    Order: lexicographic on the row-reading word, as the cells are filled
+    in reading order with each entry tried in increasing order.  With
+    ``counts`` only fillings that use value i exactly counts[i - 1] times
+    are kept (a value past the end of ``counts`` is not used).  A cell gets
+    no entry that would leave too few values for the column below it, so
+    without ``counts`` every partial filling extends.
+    """
+    if m < 1:
+        raise ValueError("alphabet size must be >= 1")
+    if len(lam) > m or (counts is not None and sum(counts) != sum(lam)):
+        # A column longer than m cannot increase strictly within 1..m, and
+        # a content of another size fills no tableau.
+        return []
+    cols = conjugate(Partition._unchecked(lam))
+    cells = [(r, c) for r, length in enumerate(lam) for c in range(length)]
+    # The largest entry of each cell: the column below it needs distinct
+    # larger values.
+    top = [m - cols[c] + r + 1 for r, c in cells]
+    rows: list[list[int]] = [[] for _ in lam]
+    remaining = list(counts) + [0] * m if counts is not None else None
+    out: list[Rows] = []
+
+    def fill(i: int) -> None:
+        if i == len(cells):
+            out.append(tuple(map(tuple, rows)))
+            return
+        r, c = cells[i]
+        row = rows[r]
+        lo = row[c - 1] if c else 1
+        if r and rows[r - 1][c] >= lo:
+            lo = rows[r - 1][c] + 1
+        for e in range(lo, top[i] + 1):
+            if remaining is not None:
+                if not remaining[e - 1]:
+                    continue
+                remaining[e - 1] -= 1
+            row.append(e)
+            fill(i + 1)
+            row.pop()
+            if remaining is not None:
+                remaining[e - 1] += 1
+
+    fill(0)
+    return out
+
+
+def _hook_lengths(lam: tuple[int, ...]) -> list[int]:
+    cols = conjugate(Partition._unchecked(lam))
+    return [
+        length - c + cols[c] - r - 1
+        for r, length in enumerate(lam)
+        for c in range(length)
+    ]
+
+
+def _syt_count(lam: tuple[int, ...]) -> int:
+    """|SYT(lam)| by the hook-length formula, without enumerating."""
+    return math.factorial(sum(lam)) // math.prod(_hook_lengths(lam))
+
+
+def _ssyt_count(lam: tuple[int, ...], m: int) -> int:
+    """|SSYT(lam, m)| by the hook-content formula, without enumerating."""
+    contents = (m + c - r for r, n in enumerate(lam) for c in range(n))
+    return math.prod(contents) // math.prod(_hook_lengths(lam))
+
+
 def enumerate_syt(lam: Partition) -> list[Tableau]:
     """All standard tableaux of straight shape lam.
 
     Order: lexicographic on the row-reading word.
     """
-    lam = Partition(lam)
-    n = lam.size
-    results: list[Tableau] = []
-    rows: list[list[int]] = [[] for _ in lam]
-
-    def place(value: int) -> None:
-        if value > n:
-            results.append(Tableau(rows=tuple(tuple(r) for r in rows)))
-            return
-        for i in range(len(lam)):
-            c = len(rows[i])
-            if c >= lam[i]:
-                continue
-            if i > 0 and len(rows[i - 1]) <= c:
-                continue
-            rows[i].append(value)
-            place(value + 1)
-            rows[i].pop()
-
-    if n == 0:
-        return [Tableau(rows=())]
-    place(1)
-    results.sort(key=lambda t: t.reading_word())
-    return results
+    return [Tableau(rows) for rows in _syt_rows(Partition(lam))]
 
 
 def enumerate_ssyt(
@@ -283,50 +361,10 @@ def enumerate_ssyt(
     Order: lexicographic on the row-reading word.  With ``content_filter``
     only fillings of that exact content are returned.
     """
-    lam = Partition(lam)
-    if m < 1:
-        raise ValueError("alphabet size must be >= 1")
     if content_filter is not None:
         content_filter = Composition(content_filter)
-        if content_filter.size != lam.size:
-            return []
-    if len(lam) > m:
-        # A column longer than m cannot increase strictly within 1..m.
-        return []
-    results: list[Tableau] = []
-    rows: list[list[int]] = [[] for _ in lam]
-    remaining = list(content_filter) if content_filter is not None else None
-
-    def cell_after(r: int, c: int) -> Optional[tuple[int, int]]:
-        if c + 1 < lam[r]:
-            return (r, c + 1)
-        if r + 1 < len(lam) and lam[r + 1] > 0:
-            return (r + 1, 0)
-        return None
-
-    def fill(pos: Optional[tuple[int, int]]) -> None:
-        if pos is None:
-            results.append(Tableau(rows=tuple(tuple(r) for r in rows)))
-            return
-        r, c = pos
-        lo = rows[r][c - 1] if c > 0 else 1
-        if r > 0:
-            lo = max(lo, rows[r - 1][c] + 1)
-        for e in range(lo, m + 1):
-            if remaining is not None:
-                if e > len(remaining) or remaining[e - 1] == 0:
-                    continue
-                remaining[e - 1] -= 1
-            rows[r].append(e)
-            fill(cell_after(r, c))
-            rows[r].pop()
-            if remaining is not None:
-                remaining[e - 1] += 1
-
-    if lam.size == 0:
-        return [Tableau(rows=())]
-    fill((0, 0))
-    return results
+    rows = _ssyt_rows(Partition(lam), m, content_filter)
+    return [Tableau(filling) for filling in rows]
 
 
 def enumerate_tabloids(mu: Composition) -> list[Tabloid]:

@@ -25,7 +25,6 @@ from __future__ import annotations
 import itertools
 import os
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, NamedTuple, Optional
 
@@ -33,11 +32,11 @@ from .shapes import (
     Interval,
     Partition,
     Permutation,
-    conjugate,
     enumerate_partitions,
     is_hook,
 )
 from .tableaux import (
+    _ssyt_count,
     enumerate_tabloids,
     permutation_act_tabloid,
     ssyt_tuple,
@@ -492,17 +491,6 @@ def _run_shard(shard: list[Job]) -> list[RelationReport]:
     return [_run_check(job) for job in shard]
 
 
-def _ssyt_count(lam: tuple[int, ...], m: int) -> int:
-    """|SSYT(lam, m)| by the hook-content formula, without enumerating."""
-    cols = conjugate(Partition(lam))
-    num = den = 1
-    for r, length in enumerate(lam):
-        for c in range(length):
-            num *= m + c - r
-            den *= length - c + cols[c] - r - 1
-    return num // den
-
-
 def _classify(name: str, shape: Shape, report: RelationReport) -> str:
     if CHECKS[name].expected(Partition(shape)):
         return report.status
@@ -525,6 +513,10 @@ def batch_verify(config: RunConfig) -> Summary:
     shards.sort(key=lambda shard: -_ssyt_count(shard[0][1], shard[0][0]))
 
     if config.workers > 1 and len(shards) > 1:
+        # Imported here: it pulls in multiprocessing, which a serial run
+        # and the CLI's start-up do not need.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
             reports = list(pool.map(_run_shard, shards))
     else:

@@ -3,6 +3,10 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +18,28 @@ def run(capsys, *argv):
     code = dispatch(list(argv))
     out = capsys.readouterr().out
     return code, [json.loads(line) for line in out.splitlines() if line]
+
+
+def test_import_does_not_load_the_process_pool():
+    """Importing the CLI leaves multiprocessing to parallel runs."""
+    import cactus_tableaux
+
+    src = str(Path(cactus_tableaux.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import cactus_tableaux.cli, sys; "
+        "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') "
+        "if m in sys.modules))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_enumerate_partitions(capsys):

@@ -9,7 +9,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cactus_tableaux import group_actions
 from cactus_tableaux.group_actions import (
+    _index,
     _induced_perm,
     BKWord,
     CactusWord,
@@ -364,6 +366,36 @@ class TestRelationCheckers:
                         assert (p * p).is_identity()
 
 
+class TestDomainIndex:
+    """The domain index is read in the order of the public tableau tuples:
+    a counterexample's position in one names its tableau in the other."""
+
+    def test_ssyt_order_matches_ssyt_tuple(self):
+        for n in range(6):
+            for lam in map(tuple, enumerate_partitions(n)):
+                for m in (n, n + 1):
+                    if m:
+                        assert list(_index(lam, m)) == [
+                            t.rows for t in ssyt_tuple(lam, m)
+                        ]
+
+    def test_syt_order_matches_syt_tuple(self):
+        for n in range(8):
+            for lam in map(tuple, enumerate_partitions(n)):
+                assert list(_index(lam, None)) == [t.rows for t in syt_tuple(lam)]
+
+    @pytest.mark.parametrize(
+        "name, lam, m", [("_syt_rows", (3, 1), None), ("_ssyt_rows", (2, 1), 3)]
+    )
+    def test_domain_count_post_condition(self, monkeypatch, name, lam, m):
+        enumerate_rows = getattr(group_actions, name)
+        monkeypatch.setattr(
+            group_actions, name, lambda *args: enumerate_rows(*args)[1:]
+        )
+        with pytest.raises(AssertionError, match="distinct tableaux"):
+            _index.__wrapped__(lam, m)
+
+
 BROKEN_KERNELS = """
 import sys
 
@@ -395,12 +427,22 @@ def syt_rule_on_a_corrupted_domain():
         group_actions._index = index
 
 
+def domain_without_its_first_tableau():
+    rows = group_actions._syt_rows
+    group_actions._syt_rows = lambda lam: rows(lam)[1:]
+    try:
+        group_actions._index.__wrapped__((3, 1), None)
+    finally:
+        group_actions._syt_rows = rows
+
+
 T = Tableau(((1, 2), (3,)))
 calls = {
     "strip_swap": lambda: gt_patterns.strip_swap(T, 1),
     "bounded_promotion": lambda: sliding.bounded_promotion(T, 2),
     "bk_t_perm": lambda: group_actions.bk_t_perm((2, 1), 3, 1),
     "bk_t_perm on SYT": syt_rule_on_a_corrupted_domain,
+    "domain count": domain_without_its_first_tableau,
     "promotion_perm": lambda: group_actions.promotion_perm((2, 1), None, 2),
     "act t2": lambda: group_actions.act(group_actions.parse_word("t2", 3), T),
     "act c[1,3]": lambda: group_actions.act(group_actions.parse_word("c[1,3]", 3), T),
@@ -417,7 +459,7 @@ for name, call in calls.items():
 def test_kernel_post_conditions_hold_under_python_O():
     """With the row kernels replaced by a broken stand-in, every layer that
     runs them still raises, in an interpreter that strips assert statements;
-    so does the SYT rule for t_k on a corrupted domain."""
+    so do the SYT rule for t_k on a corrupted domain and the domain count."""
     import cactus_tableaux
 
     src = str(Path(cactus_tableaux.__file__).resolve().parents[1])

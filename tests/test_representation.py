@@ -70,6 +70,17 @@ class TestKostka:
                         tuple(mu), tuple(nu)
                     )
 
+    def test_two_part_contents_match_oracle(self):
+        # Every K_{mu,(a,b)} that kostka_vector asks for on hooks of size
+        # up to 12, degenerate hooks (a = 0 or b = 0) included.
+        for size in range(12):
+            for a in range(size + 1):
+                nu = (a, size - a)
+                for mu in enumerate_partitions(size):
+                    assert kostka_number(mu, Composition(nu)) == kostka_oracle(
+                        tuple(mu), nu
+                    )
+
 
 class TestCharacters:
     def test_trivial_rep(self):
@@ -85,7 +96,7 @@ class TestCharacters:
             sign = (-1) ** (4 - len(rho))
             assert mn_character(Partition((1, 1, 1, 1)), rho) == sign
 
-    @pytest.mark.parametrize("m", range(1, 8))
+    @pytest.mark.parametrize("m", range(1, 9))
     def test_table_matches_kostka_inversion_oracle(self, m):
         oracle = character_table_oracle(m)
         table = character_table(m)

@@ -94,6 +94,17 @@ def test_enumerate_partitions_order():
     assert len(enumerate_partitions(6)) == 11
 
 
+def test_enumerate_partitions_returns_a_fresh_list():
+    parts = enumerate_partitions(3)
+    parts.pop()
+    parts.append(Partition((2, 2)))
+    assert enumerate_partitions(3) == [
+        Partition((3,)),
+        Partition((2, 1)),
+        Partition((1, 1, 1)),
+    ]
+
+
 class TestPermutation:
     def test_composition_order(self):
         # (p * q)(x) = p(q(x)); q acts first
