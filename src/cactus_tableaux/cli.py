@@ -120,7 +120,7 @@ def _make_config(args) -> RunConfig:
         shapes = tuple(tuple(s) for s in shapes)
     n_min = args.n_min if args.n_min is not None else args.n
     n_max = args.n_max if args.n_max is not None else args.n
-    if n_min is None:
+    if n_min is None or n_max is None:
         raise ValueError("give --n or --n-min/--n-max")
     relations = (
         tuple(args.relations.split(",")) if args.relations else ALL_CHECKS

@@ -20,7 +20,6 @@ from .shapes import (
     conjugate,
     enumerate_partitions,
     is_hook,
-    transposition_word,
 )
 from .tableaux import (
     Tableau,
@@ -30,7 +29,7 @@ from .tableaux import (
     dual_reflect,
     syt_tuple,
 )
-from .group_actions import BKWord, word_perm
+from .group_actions import bk_t_perm
 
 CycleType = Partition
 
@@ -195,26 +194,16 @@ class MultiplicityVector:
         }
 
 
-def class_representative(rho: CycleType) -> Permutation:
-    """Canonical representative: cycles on consecutive blocks."""
-    rho = Partition(rho)
-    images = []
-    start = 1
-    for length in rho:
-        block = list(range(start, start + length))
-        images.extend(block[1:] + block[:1])
-        start += length
-    return Permutation(images)
-
-
-@lru_cache(maxsize=None)
-def _class_word(rho: CycleType) -> tuple[int, ...]:
-    """The adjacent-transposition word of rho's class representative."""
-    return transposition_word(class_representative(rho))
-
-
 def schutzenberger_perm_character(lam: Partition) -> dict[CycleType, int]:
-    """Fixed-point character of the hook-shape tableau action of S_{n-1}."""
+    """Fixed-point character of the hook-shape tableau action of S_{n-1}.
+
+    The representative of rho has its cycles on consecutive blocks, and the
+    cycle (a ... b) is s_a s_{a+1} ... s_{b-1}.  As s_i acts as t_{i+1},
+    the block acts as B(a, b) = t_{a+1} ... t_b = B(a, b-1) t_b, one product
+    from the block a letter shorter; the blocks are shared between classes.
+    Blocks are disjoint and at least two letters apart, and t_k t_l = t_l t_k
+    for |k - l| >= 2, so the order of the blocks does not matter.
+    """
     lam = Partition(lam)
     # The hook guard: it raises ValueError off hooks, where the t_k give no
     # S_{n-1} action and decompose_schutzenberger would otherwise end in an
@@ -223,11 +212,24 @@ def schutzenberger_perm_character(lam: Partition) -> dict[CycleType, int]:
     if lam == Partition((2, 1)):
         raise ValueError("(2,1) is the outlying case; no S_{n-1} action")
     n = lam.size
+    blocks: dict[tuple[int, int], Permutation] = {}
+
+    def block(a: int, b: int) -> Permutation:
+        if (a, b) not in blocks:
+            t_b = bk_t_perm(tuple(lam), None, b)
+            blocks[a, b] = t_b if b == a + 1 else block(a, b - 1) * t_b
+        return blocks[a, b]
+
+    identity = Permutation.identity(hook_length_dim(lam))
     out = {}
     for rho in enumerate_partitions(n - 1):
-        # s_i acts as t_{i+1}.
-        word = BKWord(n, tuple(("t", i + 1) for i in _class_word(rho)))
-        images = word_perm(word, lam, domain="syt").images
+        perm = identity
+        start = 1
+        for length in rho:
+            if length >= 2:
+                perm = perm * block(start, start + length - 1)
+            start += length
+        images = perm.images
         out[rho] = sum(map(operator.eq, images, range(1, len(images) + 1)))
     if out[Partition([1] * (n - 1))] != hook_length_dim(lam):
         raise AssertionError(f"the identity does not fix every SYT of {lam}")
@@ -304,7 +306,6 @@ __all__ = [
     "mn_character",
     "class_size",
     "character_table",
-    "class_representative",
     "schutzenberger_perm_character",
     "decompose_schutzenberger",
     "kostka_vector",

@@ -254,27 +254,3 @@ class Permutation:
         text = "".join("(" + " ".join(map(str, c)) + ")" for c in cyc)
         return f"Permutation[{self.degree}: {text}]"
 
-
-def transposition_word(w: Permutation) -> tuple[int, ...]:
-    """Express w as a product of adjacent transpositions s_i.
-
-    Returns indices (i_1, ..., i_r) with w = s_{i_1} * ... * s_{i_r}
-    (rightmost applied first).  This is the canonical bubble-sort word.
-    """
-    one_line = list(w.images)
-    swaps: list[int] = []
-    changed = True
-    while changed:
-        changed = False
-        for pos in range(len(one_line) - 1):
-            if one_line[pos] > one_line[pos + 1]:
-                one_line[pos], one_line[pos + 1] = one_line[pos + 1], one_line[pos]
-                swaps.append(pos + 1)
-                changed = True
-    word = tuple(reversed(swaps))
-    check = Permutation.identity(w.degree)
-    for i in word:
-        check = check * Permutation.transposition(w.degree, i, i + 1)
-    if check != w:
-        raise AssertionError(f"the bubble-sort word {word} does not give {w}")
-    return word

@@ -517,7 +517,10 @@ def batch_verify(config: RunConfig) -> Summary:
         # and the CLI's start-up do not need.
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+        # A worker beyond the shard count would get no task, but under fork
+        # it would still be started at the first submit.
+        workers = min(config.workers, len(shards))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             reports = list(pool.map(_run_shard, shards))
     else:
         reports = [_run_shard(shard) for shard in shards]

@@ -138,12 +138,15 @@ def test_act_malformed_tableau_exits_2(capsys):
         ("enumerate", "syt", "--shape", "[true,true]"),
         ("kostka", "--mu", "[true]", "--nu", "[true]"),
         ("verify", "relations", "--n", "2", "--shapes", "[[true,true]]"),
+        ("verify", "relations", "--n-min", "3"),
+        ("verify", "main-theorem", "--n-min", "4"),
     ],
     ids=["syt-no-shape", "ssyt-no-m", "partitions-no-n", "shapes-not-list",
          "rows-not-list", "patterns-no-m", "shape-not-list", "nu-not-list",
          "content-not-list", "inner-not-list", "empty-word-non-semistandard",
          "empty-word-skew", "syt-too-deep", "kostka-too-deep", "rows-bool",
-         "shape-bool", "kostka-bool", "shapes-bool"],
+         "shape-bool", "kostka-bool", "shapes-bool", "n-min-only",
+         "main-theorem-n-min-only"],
 )
 def test_malformed_input_exits_2_with_one_line(capsys, argv):
     code = dispatch(list(argv))
@@ -383,7 +386,10 @@ def _argv(draw):
         argv += ["--tableau", draw(_tableau_text)]
     elif command == "verify":
         argv += [draw(st.sampled_from(["relations", "main-theorem"]))]
-        argv += ["--n", str(draw(st.integers(-1, 4))), "--workers", "1"]
+        for flag in ("--n", "--n-min", "--n-max"):
+            if draw(st.booleans()):
+                argv += [flag, str(draw(st.integers(-1, 4)))]
+        argv += ["--workers", "1"]
         argv += ["--shapes", draw(st.one_of(st.sampled_from(["all", "hooks"]),
                                             _json(st.lists(_json_list, max_size=2))))]
         if draw(st.booleans()):

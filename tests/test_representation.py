@@ -7,7 +7,6 @@ import pytest
 from cactus_tableaux.representation import (
     HookShape,
     character_table,
-    class_representative,
     class_size,
     decompose_schutzenberger,
     delta_eigenspace_dims,
@@ -19,7 +18,14 @@ from cactus_tableaux.representation import (
     schutzenberger_perm_character,
     tilde_composition,
 )
-from cactus_tableaux.shapes import Composition, Partition, enumerate_partitions, is_hook
+from cactus_tableaux.group_actions import bk_t_perm
+from cactus_tableaux.shapes import (
+    Composition,
+    Partition,
+    Permutation,
+    enumerate_partitions,
+    is_hook,
+)
 from cactus_tableaux.tableaux import Tableau, Tabloid, enumerate_syt
 from cactus_tableaux.verify import (
     verify_fold_equivariance,
@@ -125,10 +131,6 @@ class TestCharacters:
         for m in range(1, 8):
             assert sum(class_size(rho) for rho in enumerate_partitions(m)) == math.factorial(m)
 
-    def test_class_representative_has_right_type(self):
-        for rho in enumerate_partitions(6):
-            assert class_representative(rho).cycle_type() == rho
-
 
 class TestSchutzenbergerModule:
     def test_perm_character_identity_column(self):
@@ -146,9 +148,9 @@ class TestSchutzenbergerModule:
             schutzenberger_perm_character(Partition((2, 1)))
 
     def test_perm_character_matches_tabloid_oracle(self):
-        """Every column of every hook of size 3..8, against the character of
+        """Every column of every hook of size 3..12, against the character of
         the permutation module on tabloids of shape (arm, leg)."""
-        for n in range(3, 9):
+        for n in range(3, 13):
             for lam in enumerate_partitions(n):
                 if not is_hook(lam) or lam == Partition((2, 1)):
                     continue
@@ -157,6 +159,28 @@ class TestSchutzenbergerModule:
                 assert set(char) == set(enumerate_partitions(n - 1))
                 for rho, value in char.items():
                     assert value == perm_module_character(tilde, tuple(rho)), (lam, rho)
+
+    def test_perm_character_shares_cycle_blocks(self, monkeypatch):
+        """At most one product per block t_{a+1} ... t_b of 1..11, plus one
+        per cycle of length >= 2 of each class of S_11."""
+        lam = Partition((7, 1, 1, 1, 1, 1))
+        for k in range(1, 12):
+            bk_t_perm(tuple(lam), None, k)
+        calls = 0
+        product = Permutation.__mul__
+
+        def counted(self, other):
+            nonlocal calls
+            calls += 1
+            return product(self, other)
+
+        monkeypatch.setattr(Permutation, "__mul__", counted)
+        schutzenberger_perm_character(lam)
+        cycles = sum(
+            sum(1 for part in rho if part >= 2) for rho in enumerate_partitions(11)
+        )
+        assert math.comb(11, 2) + cycles == 191
+        assert calls <= 191
 
     @pytest.mark.parametrize("shape", [(2, 2), (3, 2), (3, 2, 1)])
     def test_decompose_rejects_non_hooks(self, shape):

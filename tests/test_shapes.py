@@ -9,7 +9,6 @@ from cactus_tableaux.shapes import (
     conjugate,
     enumerate_partitions,
     is_hook,
-    transposition_word,
 )
 
 
@@ -162,12 +161,3 @@ def test_product_is_a_bijection(pq):
     assert sorted(product.images) == list(range(1, m + 1))
     assert all(product(x) == p[q[x - 1] - 1] for x in range(1, m + 1))
 
-
-@given(st.permutations(list(range(1, 7))))
-def test_transposition_word_reconstructs(images):
-    w = Permutation(images)
-    word = transposition_word(w)
-    rebuilt = Permutation.identity(6)
-    for i in word:
-        rebuilt = rebuilt * Permutation.transposition(6, i, i + 1)
-    assert rebuilt == w

@@ -143,6 +143,32 @@ def test_worker_pool_matches_serial():
     )
 
 
+def test_pool_is_never_larger_than_the_shard_count(monkeypatch):
+    """--workers 64 on the 3 shapes of n = 3 asks for 3 workers; a fake
+    executor records the request and maps serially, so no pool starts."""
+    import concurrent.futures
+
+    requested = []
+
+    class SerialExecutor:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialExecutor)
+    summary = batch_verify(make_config(workers=64))
+    assert requested == [len(enumerate_partitions(3))]
+    assert summary.records == batch_verify(make_config()).records
+
+
 def test_hook_content_count_matches_enumeration():
     for n in range(1, 6):
         for lam in enumerate_partitions(n):
