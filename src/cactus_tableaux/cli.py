@@ -30,7 +30,7 @@ from .representation import (
     fold_map,
     kostka_number,
 )
-from .verify import ALL_CHECKS, RunConfig, Summary, batch_verify, default_workers
+from .verify import ALL_CHECKS, RunConfig, Summary, batch_verify
 
 
 def _emit(stream, obj) -> None:
@@ -209,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="comma-separated subset of: " + ",".join(ALL_CHECKS),
     )
-    p.add_argument("--workers", type=int, default=default_workers())
+    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--allow-large", action="store_true")
     p.add_argument("--out", default=None)

@@ -17,16 +17,7 @@ from typing import Iterable, Optional, Union
 from .shapes import Interval, Partition, Permutation
 from .sliding import _evacuate_rows, _interval_rows, _promote_rows
 from .gt_patterns import _swap_rows, _swapped
-from .tableaux import (
-    Rows,
-    Tableau,
-    _ssyt_count,
-    _ssyt_rows,
-    _straight_ssyt_rows,
-    _syt_count,
-    _syt_rows,
-    syt_tuple,
-)
+from .tableaux import Rows, Tableau, _index, _straight_ssyt_rows, syt_tuple
 
 
 @dataclass(frozen=True)
@@ -214,29 +205,6 @@ def pi_ij_image(w: CactusWord, i: int, j: int) -> Permutation:
 # Induced permutations on enumerated tableau sets.
 
 
-@lru_cache(maxsize=None)
-def _index(lam: tuple[int, ...], m: Optional[int]) -> dict[Rows, int]:
-    """Positions in the domain (lam, m), keyed by the rows of each tableau.
-
-    The domain is SSYT(lam, m), or SYT(lam) if m is None, in the order of
-    ``ssyt_tuple`` and ``syt_tuple``, built from the row enumerators
-    without a ``Tableau``.  Its post-condition, checked in every run mode:
-    the domain has as many distinct rows as the hook-length (SYT) or
-    hook-content (SSYT) formula counts.
-    """
-    if m is None:
-        rows, count = _syt_rows(lam), _syt_count(lam)
-    else:
-        rows, count = _ssyt_rows(lam, m), _ssyt_count(lam, m)
-    index = {key: i for i, key in enumerate(rows)}
-    if len(index) != count:
-        raise AssertionError(
-            f"the domain {lam}, m = {m} has {len(index)} distinct tableaux,"
-            f" not {count}"
-        )
-    return index
-
-
 def _induced_perm(lam: tuple[int, ...], m: Optional[int], f, what: str) -> Permutation:
     """The permutation the row map f, named ``what``, induces on (lam, m).
 
@@ -265,9 +233,9 @@ def interval_perm(
     """xi_[a,b] as a permutation of the domain (lam, m).
 
     The tableau-level definitions, lifted: partial_evacuation applies the
-    bounded promotions pr_b, ..., pr_1 in turn, so xi_[1,b] = xi_[1,b-1] pr_b
-    with xi_[1,1] = pr_1 (the identity), and interval_evacuation gives
-    xi_[a,b] = xi_[1,b] xi_[1,b-a+1] xi_[1,b].
+    bounded promotions pr_b, ..., pr_1 in turn, so xi_[1,b] = xi_[1,b-1] pr_b,
+    and xi_[1,1] = pr_1 is the identity (its window holds only 1s), so it is
+    not built; interval_evacuation gives xi_[a,b] = xi_[1,b] xi_[1,b-a+1] xi_[1,b].
     """
     if not 1 <= a <= b:
         raise ValueError(f"invalid interval [{a},{b}]")
@@ -275,7 +243,7 @@ def interval_perm(
         outer = interval_perm(lam, m, 1, b)
         return outer * interval_perm(lam, m, 1, b - a + 1) * outer
     if b == 1:
-        return promotion_perm(lam, m, 1)
+        return Permutation.identity(len(_index(lam, m)))
     return interval_perm(lam, m, 1, b - 1) * promotion_perm(lam, m, b)
 
 
@@ -341,7 +309,17 @@ def _syt_t_perms(lam: tuple[int, ...]) -> tuple[Permutation, ...]:
 
 @lru_cache(maxsize=None)
 def promotion_perm(lam: tuple[int, ...], m: Optional[int], k: int) -> Permutation:
-    """Bounded promotion with window 1..k as a permutation of (lam, m)."""
+    """Bounded promotion with window 1..k as a permutation of (lam, m).
+
+    The window must lie in the domain's alphabet, 1..m (1..|lam| on SYT): a
+    larger one relabels vacated cells k, outside the domain.
+    """
+    alphabet = sum(lam) if m is None else m
+    if not 1 <= k <= alphabet:
+        raise ValueError(
+            f"promotion_{k} needs a window inside the alphabet 1..{alphabet}"
+            f" of the domain {lam}, m = {m}"
+        )
     return _induced_perm(
         lam, m, lambda rows: _promote_rows(rows, k), f"promotion_{k}"
     )

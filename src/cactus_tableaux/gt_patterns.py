@@ -19,14 +19,13 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterator
 
-from .shapes import Interval, Partition
+from .shapes import Partition
 from .tableaux import (
     Rows,
     Tableau,
     _check_image,
     _rows_semistandard,
     _straight_ssyt_rows,
-    restrict_entries,
 )
 
 
@@ -101,16 +100,15 @@ class StripRectangle:
 
 def to_pattern(T: Tableau, n: int) -> GTPattern:
     """The pattern whose row j is the shape of T restricted to 1..j."""
-    _straight_ssyt_rows(T, "a GT pattern")
+    rows = _straight_ssyt_rows(T, "a GT pattern")
     if T.max_entry > n:
         raise ValueError(f"entries exceed {n}")
-    rows = []
+    # Row r of an SSYT holds no entry below r + 1, so rows[j:] hold none <= j.
+    pattern = []
     for j in range(1, n + 1):
-        shape = restrict_entries(T, Interval(1, j)).outer
-        if len(shape) > j:
-            raise ValueError("restriction has too many rows")
-        rows.append(tuple(shape) + (0,) * (j - len(shape)))
-    return GTPattern(rows=tuple(rows))
+        shape = tuple(bisect_right(row, j) for row in rows[:j])
+        pattern.append(shape + (0,) * (j - len(shape)))
+    return GTPattern(rows=tuple(pattern))
 
 
 def from_pattern(P: GTPattern) -> Tableau:

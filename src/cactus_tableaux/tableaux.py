@@ -345,6 +345,30 @@ def _ssyt_count(lam: tuple[int, ...], m: int) -> int:
     return math.prod(contents) // math.prod(_hook_lengths(lam))
 
 
+@lru_cache(maxsize=None)
+def _index(lam: tuple[int, ...], m: Optional[int]) -> dict[Rows, int]:
+    """Positions in the domain (lam, m), keyed by the rows of each tableau.
+
+    The domain is SSYT(lam, m), or SYT(lam) if m is None, in the order of
+    the row enumerators.  This is the one cached copy of a domain: the
+    tableau tuples, the induced permutations and the counterexamples all
+    read positions from it.  Its post-condition, checked in every run mode:
+    the domain has as many distinct rows as the hook-length (SYT) or
+    hook-content (SSYT) formula counts.
+    """
+    if m is None:
+        rows, count = _syt_rows(lam), _syt_count(lam)
+    else:
+        rows, count = _ssyt_rows(lam, m), _ssyt_count(lam, m)
+    index = {key: i for i, key in enumerate(rows)}
+    if len(index) != count:
+        raise AssertionError(
+            f"the domain {lam}, m = {m} has {len(index)} distinct tableaux,"
+            f" not {count}"
+        )
+    return index
+
+
 def enumerate_syt(lam: Partition) -> list[Tableau]:
     """All standard tableaux of straight shape lam.
 
@@ -398,16 +422,14 @@ def permutation_act_tabloid(w: Permutation, P: Tabloid) -> Tabloid:
     )
 
 
-@lru_cache(maxsize=None)
 def syt_tuple(lam: tuple[int, ...]) -> tuple[Tableau, ...]:
-    """Cached tuple form of :func:`enumerate_syt`."""
-    return tuple(enumerate_syt(Partition(lam)))
+    """The tableaux of SYT(lam), in the order of its domain index."""
+    return tuple(map(Tableau, _index(Partition(lam), None)))
 
 
-@lru_cache(maxsize=None)
 def ssyt_tuple(lam: tuple[int, ...], m: int) -> tuple[Tableau, ...]:
-    """Cached tuple form of :func:`enumerate_ssyt`."""
-    return tuple(enumerate_ssyt(Partition(lam), m))
+    """The tableaux of SSYT(lam, m), in the order of its domain index."""
+    return tuple(map(Tableau, _index(Partition(lam), m)))
 
 
 __all__ = [

@@ -23,7 +23,6 @@ count.
 from __future__ import annotations
 
 import itertools
-import os
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, NamedTuple, Optional
@@ -36,11 +35,11 @@ from .shapes import (
     is_hook,
 )
 from .tableaux import (
+    Tableau,
+    _index,
     _ssyt_count,
     enumerate_tabloids,
     permutation_act_tabloid,
-    ssyt_tuple,
-    syt_tuple,
 )
 from .group_actions import (
     BKAtom,
@@ -62,8 +61,6 @@ from .representation import (
 )
 
 HARD_CAP = 10
-
-WORKERS_ENV = "CACTUS_TABLEAUX_WORKERS"
 
 CHI_SAMPLES = 50  # random cactus words per chi-consistency job
 
@@ -115,9 +112,10 @@ def _compare(
     """
     for lhs, rhs, fields in comparisons:
         if lhs != rhs:
-            tabs = ssyt_tuple(lam, n) if domain == "ssyt" else syt_tuple(lam)
+            index = _index(lam, n if domain == "ssyt" else None)
             i = next(i for i, x in enumerate(lhs.images) if x != rhs.images[i])
-            ce = {"tableau": tabs[i].to_json(), **fields}
+            rows = next(itertools.islice(index, i, None))
+            ce = {"tableau": Tableau(rows).to_json(), **fields}
             return RelationReport(relation, n, lam, "FAIL", ce)
     return RelationReport(relation, n, lam, "PASS")
 
@@ -362,8 +360,8 @@ def verify_fold_equivariance(lam: Partition) -> RelationReport:
     lam = Partition(lam)
     hook = HookShape.from_partition(lam)
     n = lam.size
-    tabs = syt_tuple(tuple(lam))
-    folded = [fold_map(t) for t in tabs]
+    domain = list(_index(tuple(lam), None))
+    folded = [fold_map(Tableau(rows)) for rows in domain]
     if len(set(folded)) != len(folded) or len(folded) != len(
         enumerate_tabloids(hook.tilde)
     ):
@@ -374,13 +372,13 @@ def verify_fold_equivariance(lam: Partition) -> RelationReport:
     for i in range(1, n - 1):
         perm = bk_t_perm(tuple(lam), None, i + 1)
         s_i = Permutation.transposition(n - 1, i, i + 1)
-        for j, t in enumerate(tabs):
+        for j, rows in enumerate(domain):
             lhs = folded[perm(j + 1) - 1]
             rhs = permutation_act_tabloid(s_i, folded[j])
             if lhs != rhs:
                 return RelationReport(
                     "fold-equivariance", n, tuple(lam), "FAIL",
-                    {"i": i, "tableau": t.to_json()},
+                    {"i": i, "tableau": Tableau(rows).to_json()},
                 )
     return RelationReport("fold-equivariance", n, tuple(lam), "PASS")
 
@@ -462,13 +460,6 @@ class Summary:
             "passed": self.passed,
             "failed": self.failed,
         }
-
-
-def default_workers() -> int:
-    try:
-        return max(1, int(os.environ.get(WORKERS_ENV, "1")))
-    except ValueError:
-        return 1
 
 
 def _shapes_for(config: RunConfig, n: int) -> list[Partition]:

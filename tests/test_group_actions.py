@@ -9,9 +9,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cactus_tableaux import group_actions
+from cactus_tableaux import tableaux
 from cactus_tableaux.group_actions import (
-    _index,
     _induced_perm,
     BKWord,
     CactusWord,
@@ -52,6 +51,7 @@ from cactus_tableaux.sliding import (
 )
 from cactus_tableaux.tableaux import (
     Tableau,
+    _index,
     enumerate_ssyt,
     enumerate_syt,
     ssyt_tuple,
@@ -229,6 +229,14 @@ class TestWordPerms:
         assert perm == Permutation.identity(len(tabs))
 
 
+    @pytest.mark.parametrize(
+        "text, n, m, domain", [("c[1,4]", 4, 3, "ssyt"), ("c[1,5]", 5, None, "syt")]
+    )
+    def test_window_past_the_alphabet_is_malformed_input(self, text, n, m, domain):
+        with pytest.raises(ValueError, match="alphabet 1..3"):
+            word_perm(parse_word(text, n), (2, 1), m, domain)
+
+
 class TestLiftedIntervalPerms:
     """The composed xi_[a,b] against the tableau-level reference."""
 
@@ -246,6 +254,7 @@ class TestLiftedIntervalPerms:
                 for b in range(a + 1, n + 1):
                     op = self.reference(a, b)
                     for m in (n, None):
+                        assert interval_perm(lam, m, a, a).is_identity()
                         assert interval_perm(lam, m, a, b) == _induced_perm(
                             lam, m, op, f"xi[{a},{b}]"
                         ), (lam, m, a, b)
@@ -367,31 +376,31 @@ class TestRelationCheckers:
 
 
 class TestDomainIndex:
-    """The domain index is read in the order of the public tableau tuples:
-    a counterexample's position in one names its tableau in the other."""
+    """The domain index holds the tableaux of the public enumerators, in
+    their order, so a position in it names the tableau they list there."""
 
-    def test_ssyt_order_matches_ssyt_tuple(self):
+    def test_ssyt_order_matches_enumerate_ssyt(self):
         for n in range(6):
-            for lam in map(tuple, enumerate_partitions(n)):
+            for lam in enumerate_partitions(n):
                 for m in (n, n + 1):
                     if m:
-                        assert list(_index(lam, m)) == [
-                            t.rows for t in ssyt_tuple(lam, m)
+                        assert list(_index(tuple(lam), m)) == [
+                            t.rows for t in enumerate_ssyt(lam, m)
                         ]
 
-    def test_syt_order_matches_syt_tuple(self):
+    def test_syt_order_matches_enumerate_syt(self):
         for n in range(8):
-            for lam in map(tuple, enumerate_partitions(n)):
-                assert list(_index(lam, None)) == [t.rows for t in syt_tuple(lam)]
+            for lam in enumerate_partitions(n):
+                assert list(_index(tuple(lam), None)) == [
+                    t.rows for t in enumerate_syt(lam)
+                ]
 
     @pytest.mark.parametrize(
         "name, lam, m", [("_syt_rows", (3, 1), None), ("_ssyt_rows", (2, 1), 3)]
     )
     def test_domain_count_post_condition(self, monkeypatch, name, lam, m):
-        enumerate_rows = getattr(group_actions, name)
-        monkeypatch.setattr(
-            group_actions, name, lambda *args: enumerate_rows(*args)[1:]
-        )
+        enumerate_rows = getattr(tableaux, name)
+        monkeypatch.setattr(tableaux, name, lambda *args: enumerate_rows(*args)[1:])
         with pytest.raises(AssertionError, match="distinct tableaux"):
             _index.__wrapped__(lam, m)
 
@@ -399,7 +408,7 @@ class TestDomainIndex:
 BROKEN_KERNELS = """
 import sys
 
-from cactus_tableaux import group_actions, gt_patterns, sliding
+from cactus_tableaux import group_actions, gt_patterns, sliding, tableaux
 from cactus_tableaux.tableaux import Tableau
 
 if __debug__:
@@ -428,12 +437,12 @@ def syt_rule_on_a_corrupted_domain():
 
 
 def domain_without_its_first_tableau():
-    rows = group_actions._syt_rows
-    group_actions._syt_rows = lambda lam: rows(lam)[1:]
+    rows = tableaux._syt_rows
+    tableaux._syt_rows = lambda lam: rows(lam)[1:]
     try:
-        group_actions._index.__wrapped__((3, 1), None)
+        tableaux._index.__wrapped__((3, 1), None)
     finally:
-        group_actions._syt_rows = rows
+        tableaux._syt_rows = rows
 
 
 T = Tableau(((1, 2), (3,)))

@@ -10,14 +10,13 @@ from cactus_tableaux import verify
 from cactus_tableaux.cli import _emit_summary
 from cactus_tableaux.group_actions import BKWord
 from cactus_tableaux.shapes import Permutation, enumerate_partitions
-from cactus_tableaux.tableaux import enumerate_ssyt
+from cactus_tableaux.tableaux import Tableau, _index, enumerate_ssyt
 from cactus_tableaux.verify import (
     ALL_CHECKS,
     HARD_CAP,
     RunConfig,
     _ssyt_count,
     batch_verify,
-    default_workers,
 )
 
 
@@ -59,13 +58,6 @@ class TestRunConfig:
             "main-theorem",
             "fold-equivariance",
         )
-
-
-def test_default_workers_env(monkeypatch):
-    monkeypatch.setenv("CACTUS_TABLEAUX_WORKERS", "3")
-    assert default_workers() == 3
-    monkeypatch.setenv("CACTUS_TABLEAUX_WORKERS", "junk")
-    assert default_workers() == 1
 
 
 def test_n_range_scopes_the_run():
@@ -167,6 +159,28 @@ def test_pool_is_never_larger_than_the_shard_count(monkeypatch):
     summary = batch_verify(make_config(workers=64))
     assert requested == [len(enumerate_partitions(3))]
     assert summary.records == batch_verify(make_config()).records
+
+
+@pytest.mark.parametrize("domain, m", [("ssyt", 5), ("syt", None)])
+def test_forced_failure_builds_one_tableau(monkeypatch, domain, m):
+    """A failing comparison turns only its counterexample into a Tableau:
+    the rows at the first position where the two sides differ."""
+    lam = (3, 2)
+    rows = list(_index(lam, m))
+    lhs = Permutation.identity(len(rows))
+    rhs = Permutation.transposition(len(rows), 2, 3)
+    expected = Tableau(rows[1])
+    built = []
+    post_init = Tableau.__post_init__
+
+    def counted(self):
+        post_init(self)
+        built.append(self)
+
+    monkeypatch.setattr(Tableau, "__post_init__", counted)
+    report = verify._compare("forced", 5, lam, domain, [(lhs, rhs, {})])
+    assert built == [expected]
+    assert report.counterexample == {"tableau": expected.to_json()}
 
 
 def test_hook_content_count_matches_enumeration():
