@@ -131,7 +131,6 @@ def _make_config(args) -> RunConfig:
         shapes=shapes,
         relations=relations,
         workers=args.workers,
-        seed=args.seed,
         allow_large=args.allow_large,
     )
 
@@ -210,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated subset of: " + ",".join(ALL_CHECKS),
     )
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help="accepted; has no effect")
     p.add_argument("--allow-large", action="store_true")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_verify)

@@ -226,6 +226,19 @@ def _induced_perm(lam: tuple[int, ...], m: Optional[int], f, what: str) -> Permu
     return Permutation(images)
 
 
+def _check_window(
+    lam: tuple[int, ...], m: Optional[int], what: str, lo: int, hi: int
+) -> None:
+    """Raise ValueError unless lo..hi lies in the alphabet of (lam, m),
+    1..m, or 1..|lam| on SYT."""
+    alphabet = sum(lam) if m is None else m
+    if not 1 <= lo <= hi <= alphabet:
+        raise ValueError(
+            f"{what} needs a window inside the alphabet 1..{alphabet}"
+            f" of the domain {lam}, m = {m}"
+        )
+
+
 @lru_cache(maxsize=None)
 def interval_perm(
     lam: tuple[int, ...], m: Optional[int], a: int, b: int
@@ -251,10 +264,12 @@ def interval_perm(
 def bk_t_perm(lam: tuple[int, ...], m: Optional[int], k: int) -> Permutation:
     """t_k as a permutation of the domain (lam, m).
 
-    On SYT(lam) with 1 <= k < |lam| it is read off :func:`_syt_t_perms`;
-    otherwise the strip-swap kernel runs on every tableau of the domain.
+    Its window k..k+1 must lie in the domain's alphabet.  On SYT(lam) it is
+    read off :func:`_syt_t_perms`; on SSYT the strip-swap kernel runs on
+    every tableau of the domain.
     """
-    if m is None and 1 <= k < sum(lam):
+    _check_window(lam, m, f"t{k}", k, k + 1)
+    if m is None:
         return _syt_t_perms(lam)[k - 1]
     return _induced_perm(lam, m, lambda rows: _swap_rows(rows, k), f"t{k}")
 
@@ -311,15 +326,10 @@ def _syt_t_perms(lam: tuple[int, ...]) -> tuple[Permutation, ...]:
 def promotion_perm(lam: tuple[int, ...], m: Optional[int], k: int) -> Permutation:
     """Bounded promotion with window 1..k as a permutation of (lam, m).
 
-    The window must lie in the domain's alphabet, 1..m (1..|lam| on SYT): a
-    larger one relabels vacated cells k, outside the domain.
+    The window must lie in the domain's alphabet: a larger one relabels
+    vacated cells k, outside the domain.
     """
-    alphabet = sum(lam) if m is None else m
-    if not 1 <= k <= alphabet:
-        raise ValueError(
-            f"promotion_{k} needs a window inside the alphabet 1..{alphabet}"
-            f" of the domain {lam}, m = {m}"
-        )
+    _check_window(lam, m, f"promotion_{k}", 1, k)
     return _induced_perm(
         lam, m, lambda rows: _promote_rows(rows, k), f"promotion_{k}"
     )

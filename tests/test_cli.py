@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, wire formats, exit codes."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -319,10 +320,37 @@ def test_unknown_subcommand_exits_2(capsys):
 
 
 def test_verify_relations_at_n_1_passes(capsys):
-    # Rank 1 has no generators; chi-consistency samples no random words.
+    # Rank 1 has no generators, so chi-consistency compares nothing and passes.
     code, lines = run(capsys, "verify", "relations", "--n", "1", "--workers", "1")
     assert code == 0
     assert lines[-1]["summary"] == {"checked": 8, "passed": 8, "failed": 0}
+
+
+# sha256 of the whole record stream of verify relations --n-min 2 --n-max 6.
+RELATIONS_N6_SHA256 = (
+    "24c3b60c0e5bf62b3877a25e1ad9312715d3a0c3d862b197feb9443e9c53a34e"
+)
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_verify_relations_n6_stream_is_pinned(capsys, workers):
+    # The committed benchmark outputs stop at n = 5; this pins n = 6, every
+    # chi-consistency record included, byte for byte.  It exits 1 on the
+    # standing failure of the star relation on (2,2).
+    code = dispatch(
+        ["verify", "relations", "--n-min", "2", "--n-max", "6", "--workers", workers]
+    )
+    out = capsys.readouterr().out.encode()
+    assert code == 1
+    assert hashlib.sha256(out).hexdigest() == RELATIONS_N6_SHA256
+
+
+def test_verify_seed_is_accepted_and_ignored(capsys):
+    argv = ["verify", "relations", "--n-min", "2", "--n-max", "4"]
+    code = dispatch(argv)
+    plain = capsys.readouterr().out
+    assert dispatch(argv + ["--seed", "9"]) == code
+    assert capsys.readouterr().out == plain
 
 
 # ---------------------------------------------------------------------------

@@ -230,7 +230,15 @@ class TestWordPerms:
 
 
     @pytest.mark.parametrize(
-        "text, n, m, domain", [("c[1,4]", 4, 3, "ssyt"), ("c[1,5]", 5, None, "syt")]
+        "text, n, m, domain",
+        [
+            ("c[1,4]", 4, 3, "ssyt"),
+            ("c[1,5]", 5, None, "syt"),
+            ("t3", 4, 3, "ssyt"),
+            ("q3", 4, 3, "ssyt"),
+            ("t3", 4, None, "syt"),
+            ("t4", 5, None, "syt"),
+        ],
     )
     def test_window_past_the_alphabet_is_malformed_input(self, text, n, m, domain):
         with pytest.raises(ValueError, match="alphabet 1..3"):
@@ -337,9 +345,45 @@ class TestRelationCheckers:
         assert report.status == "PASS", report.to_json()
 
     def test_chi_consistency_deterministic(self):
-        a = check_chi_consistency(4, (2, 1, 1), seed=7)
-        b = check_chi_consistency(4, (2, 1, 1), seed=7)
+        a = check_chi_consistency(4, (2, 1, 1))
+        b = check_chi_consistency(4, (2, 1, 1))
         assert a == b and a.status == "PASS"
+
+    def test_word_perms_and_translation_multiply_factor_by_factor(self):
+        # Why check_chi_consistency may stop at the generators: both sides
+        # of any word are products of their factors' permutations.
+        rng = random.Random(13)
+        shapes = [
+            tuple(lam) for n in range(2, 5) for lam in enumerate_partitions(n)
+        ] + [(4, 1), (3, 2), (2, 2, 1)]
+        for lam in shapes:
+            n = sum(lam)
+            intervals = [
+                Interval(a, b) for a in range(1, n) for b in range(a + 1, n + 1)
+            ]
+            atoms = [(kind, k) for kind in "tpq" for k in range(1, n)]
+
+            def cactus():
+                return CactusWord(
+                    n, tuple(rng.choice(intervals) for _ in range(rng.randint(1, 6)))
+                )
+
+            def bk():
+                return BKWord(
+                    n, tuple(rng.choice(atoms) for _ in range(rng.randint(1, 6)))
+                )
+
+            for _ in range(10):
+                for u, v in ((cactus(), cactus()), (bk(), bk())):
+                    assert word_perm(u * v, lam) == word_perm(u, lam) * word_perm(
+                        v, lam
+                    ), (lam, str(u), str(v))
+                u, v = cactus(), cactus()
+                assert chi_translate(u * v) == chi_translate(u) * chi_translate(v)
+                w = cactus()
+                assert word_perm(w, lam) == word_perm(chi_translate(w), lam), (
+                    lam, str(w)
+                )
 
     def test_star_fails_off_hooks_with_counterexample(self):
         report = check_star_relation(5, (3, 2))
