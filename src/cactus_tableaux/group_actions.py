@@ -15,9 +15,17 @@ from functools import lru_cache, reduce
 from typing import Iterable, Optional, Union
 
 from .shapes import Interval, Partition, Permutation
-from .sliding import _evacuate_rows, _interval_rows, _promote_rows
+from .sliding import _evacuated, _interval_rows, _promote_rows
 from .gt_patterns import _swap_rows, _swapped
 from .tableaux import Rows, Tableau, _index, _straight_ssyt_rows, syt_tuple
+
+
+def _repeated(factors: tuple, e: int) -> tuple:
+    """The factors of a word's e-th power; words are not inverted, so e < 0
+    is refused rather than read as the identity."""
+    if e < 0:
+        raise ValueError(f"a word has no negative power (got {e})")
+    return factors * e
 
 
 @dataclass(frozen=True)
@@ -40,7 +48,7 @@ class CactusWord:
         return CactusWord(self.n, self.factors + other.factors)
 
     def __pow__(self, e: int) -> "CactusWord":
-        return CactusWord(self.n, self.factors * e)
+        return CactusWord(self.n, _repeated(self.factors, e))
 
 
 BKAtom = tuple[str, int]  # ("t" | "p" | "q", k)
@@ -69,7 +77,7 @@ class BKWord:
         return BKWord(self.n, self.factors + other.factors)
 
     def __pow__(self, e: int) -> "BKWord":
-        return BKWord(self.n, self.factors * e)
+        return BKWord(self.n, _repeated(self.factors, e))
 
     def expand(self) -> tuple[int, ...]:
         """Flatten p/q atoms into the underlying t-generator indices."""
@@ -132,12 +140,13 @@ def _acted_rows(w: Word, T: Tableau) -> Rows:
 def cactus_act(w: CactusWord, T: Tableau) -> Tableau:
     """Apply the word: each c_[a,b] acts by the interval involution.
 
-    The bounded promotions are those of ``partial_evacuation`` (a = 1) and
-    ``interval_evacuation``, each checked, on the rows of T.
+    On the rows of T, c_[1,b] is one pass of the evacuation kernel of
+    ``partial_evacuation`` and c_[a,b] three, as in ``interval_evacuation``;
+    each pass is checked.
     """
     rows = _acted_rows(w, T)
     for a, b in reversed(w.factors):
-        rows = _evacuate_rows(rows, b) if a == 1 else _interval_rows(rows, a, b)
+        rows = _evacuated(rows, b) if a == 1 else _interval_rows(rows, a, b)
     return Tableau(rows)
 
 
@@ -245,10 +254,12 @@ def interval_perm(
 ) -> Permutation:
     """xi_[a,b] as a permutation of the domain (lam, m).
 
-    The tableau-level definitions, lifted: partial_evacuation applies the
-    bounded promotions pr_b, ..., pr_1 in turn, so xi_[1,b] = xi_[1,b-1] pr_b,
-    and xi_[1,1] = pr_1 is the identity (its window holds only 1s), so it is
-    not built; interval_evacuation gives xi_[a,b] = xi_[1,b] xi_[1,b-a+1] xi_[1,b].
+    Built from the definitions: xi_[1,b] applies the bounded promotions
+    pr_b, ..., pr_1 in turn, so xi_[1,b] = xi_[1,b-1] pr_b, and
+    xi_[1,1] = pr_1 is the identity (its window holds only 1s), so it is
+    not built; xi_[a,b] = xi_[1,b] xi_[1,b-a+1] xi_[1,b].  The tableau-level
+    partial_evacuation computes xi_[1,b] by row insertion instead, so the
+    two are independent and the tests compare them.
     """
     if not 1 <= a <= b:
         raise ValueError(f"invalid interval [{a},{b}]")

@@ -196,6 +196,8 @@ def strip_decomposition(
     The bound k-boxes of a row and the (k+1)-boxes below them form one
     rectangle.
     """
+    if k < 1:
+        raise ValueError("k must be >= 1")
     rows = _straight_ssyt_rows(T, "strip decomposition")
     strips = []
     rectangles = []
@@ -219,6 +221,8 @@ def strip_swap(T: Tableau, k: int) -> Tableau:
     input is checked once, :func:`_swap_rows` does the work and its
     post-condition is checked in every run mode.
     """
+    if k < 1:
+        raise ValueError("k must be >= 1")
     return Tableau(_swapped(_straight_ssyt_rows(T, "strip swap"), k))
 
 

@@ -3,11 +3,14 @@
 All operations are pure functions on immutable tableaux.  The slide
 comparison rule: a hole with east entry i and south entry j swaps east
 when i < j and south otherwise, so equal entries go south; this is what
-keeps columns strict.
+keeps columns strict.  Promotion slides; the involutions xi_[1,k] do not:
+they run one pass of row insertions (:func:`_evacuate_rows`), which gives
+what the chain of bounded promotions pr_k, ..., pr_2 would.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Callable, Optional
 
 from .shapes import Interval
@@ -173,40 +176,68 @@ def _promoted(rows: Rows, k: int) -> Rows:
 
 
 def _evacuate_rows(rows: Rows, k: int) -> Rows:
-    """xi_[1,k] on rows: pr_k, then pr_{k-1}, ..., down to pr_2.
+    """The partial-evacuation kernel xi_[1,k] on the rows of a straight
+    SSYT; no checks.
 
-    pr_1 is the identity (its window holds only 1s), so it is not run.
+    The window of entries <= k is a straight SSYT S in the top rows, and
+    evac(S) is the rectification of S rotated by 180 degrees with each
+    entry x complemented to k+1-x (Schutzenberger).  That rectification is
+    the insertion tableau of the rotated word: the window read top row
+    first, each row right to left, complemented, and row-inserted into P.
+    The rows are rebuilt as P's rows followed by the entries > k, which
+    stay in place.  A P of the wrong shape changes some row's length, as P
+    holds as many entries as the window.
     """
-    for j in range(k, 1, -1):
-        rows = _promoted(rows, j)
-    return rows
+    cuts = [bisect_right(row, k) for row in rows]
+    P: list[list[int]] = []
+    for row, cut in zip(rows, cuts):
+        for i in range(cut - 1, -1, -1):
+            x = k + 1 - row[i]
+            for prow in P:
+                j = bisect_right(prow, x)
+                if j == len(prow):
+                    prow.append(x)
+                    break
+                prow[j], x = x, prow[j]
+            else:
+                P.append([x])
+    rebuilt = tuple(tuple(prow) + row[cut:] for prow, row, cut in zip(P, rows, cuts))
+    return rebuilt + rows[len(P) :]
+
+
+def _evacuated(rows: Rows, k: int) -> Rows:
+    """xi_[1,k] on rows, with its post-condition."""
+    return _check_image(rows, _evacuate_rows(rows, k), "evacuation")
 
 
 def _interval_rows(rows: Rows, a: int, b: int) -> Rows:
     """xi_[a,b] on rows, by its definition xi_[1,b] xi_[1,b-a+1] xi_[1,b]."""
     for k in (b, b - a + 1, b):
-        rows = _evacuate_rows(rows, k)
+        rows = _evacuated(rows, k)
     return rows
 
 
 def evacuation(T: Tableau, m: Optional[int] = None) -> Tableau:
     """The Schutzenberger involution on alphabet 1..m.
 
-    Computed as the chain of bounded promotions with the largest window
-    applied first; m defaults to the largest entry present.
+    Computed in one pass of row insertions, :func:`_evacuate_rows` with
+    window m; m defaults to the largest entry present.
     """
     if m is None:
         m = T.max_entry
     if T.max_entry > m:
         raise ValueError(f"entries exceed alphabet {m}")
-    return Tableau(_evacuate_rows(_straight_ssyt_rows(T, "evacuation"), m))
+    return Tableau(_evacuated(_straight_ssyt_rows(T, "evacuation"), m))
 
 
 def partial_evacuation(T: Tableau, k: int) -> Tableau:
-    """Schutzenberger involution on the entries 1..k, in place."""
+    """Schutzenberger involution on the entries 1..k, in place.
+
+    One pass of :func:`_evacuate_rows`; the entries > k stay where they are.
+    """
     if k < 2:
         raise ValueError("partial evacuation needs k >= 2")
-    return Tableau(_evacuate_rows(_straight_ssyt_rows(T, "partial evacuation"), k))
+    return Tableau(_evacuated(_straight_ssyt_rows(T, "partial evacuation"), k))
 
 
 def interval_evacuation(T: Tableau, J: Interval) -> Tableau:

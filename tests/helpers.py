@@ -3,8 +3,8 @@
 Nothing here calls into the character or evacuation code paths it is used
 to check: Kostka numbers are counted by horizontal-strip chains,
 permutation-module characters by distributing cycles into rows,
-evacuation by the rotate-complement-rectify construction, and bounded
-promotion by rectifying a skew tableau.
+evacuation by the rotate-complement-rectify construction and by the chain
+of bounded promotions, and bounded promotion by rectifying a skew tableau.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from cactus_tableaux import Tableau, jdt_rectify
+from cactus_tableaux.sliding import _promote_rows
 
 
 # ---------------------------------------------------------------------------
@@ -140,6 +141,17 @@ def evacuation_oracle(T: Tableau, m: int) -> Tableau:
         inner.append(width - len(src))
     skew = Tableau(rows=tuple(rows), inner=tuple(inner))
     return jdt_rectify(skew)
+
+
+def partial_evacuation_oracle(rows: tuple, k: int) -> tuple:
+    """xi_[1,k] on the rows of a straight SSYT, by its definition: the
+    bounded promotions pr_k, pr_{k-1}, ..., pr_2 in turn.
+
+    pr_1 is the identity (its window holds only 1s), so it is not run.
+    """
+    for j in range(k, 1, -1):
+        rows = _promote_rows(rows, j)
+    return rows
 
 
 # ---------------------------------------------------------------------------

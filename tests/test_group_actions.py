@@ -93,6 +93,13 @@ class TestParsing:
         with pytest.raises(ValueError):
             parse_bk_word("t9", 5)
 
+    @pytest.mark.parametrize("word", [CactusWord(3, ((1, 2),)), BKWord(3, (("t", 1),))])
+    def test_powers(self, word):
+        assert (word**0).factors == ()
+        assert (word**2).factors == word.factors * 2
+        with pytest.raises(ValueError, match="negative power"):
+            word**-1
+
     def test_expand(self):
         w = BKWord(5, (("q", 3),))
         assert w.expand() == (1, 2, 1, 3, 2, 1)
@@ -464,7 +471,7 @@ def broken(rows, k):
 
 
 for module in (sliding, gt_patterns, group_actions):
-    for name in ("_promote_rows", "_swap_rows"):
+    for name in ("_promote_rows", "_evacuate_rows", "_swap_rows"):
         if hasattr(module, name):
             setattr(module, name, broken)
 
@@ -493,6 +500,7 @@ T = Tableau(((1, 2), (3,)))
 calls = {
     "strip_swap": lambda: gt_patterns.strip_swap(T, 1),
     "bounded_promotion": lambda: sliding.bounded_promotion(T, 2),
+    "partial_evacuation": lambda: sliding.partial_evacuation(T, 3),
     "bk_t_perm": lambda: group_actions.bk_t_perm((2, 1), 3, 1),
     "bk_t_perm on SYT": syt_rule_on_a_corrupted_domain,
     "domain count": domain_without_its_first_tableau,

@@ -148,6 +148,12 @@ class TestStrips:
         assert len(rects) == 1 and rects[0].width == 1
         assert strip_swap(Tableau(((1,), (2,))), 1) == Tableau(((1,), (2,)))
 
+    @pytest.mark.parametrize("operation", [strip_swap, strip_decomposition])
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_level_below_one_is_malformed_input(self, operation, k):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            operation(Tableau(((1, 2), (3,))), k)
+
     def test_strip_location_small(self):
         P = to_pattern(Tableau(((1, 2), (3,))), 3)
         s = strip_location(P, 1, 2)

@@ -4,6 +4,7 @@ import pytest
 
 from cactus_tableaux.shapes import Interval, Partition
 from cactus_tableaux.sliding import (
+    _evacuate_rows,
     _promote_rows,
     bounded_promotion,
     evacuation,
@@ -16,9 +17,24 @@ from cactus_tableaux.sliding import (
 from cactus_tableaux.tableaux import Tableau, content, enumerate_ssyt, enumerate_syt
 from cactus_tableaux import enumerate_partitions
 
-from helpers import evacuation_oracle, promotion_oracle, skew_fillings, subpartitions
+from helpers import (
+    evacuation_oracle,
+    partial_evacuation_oracle,
+    promotion_oracle,
+    skew_fillings,
+    subpartitions,
+)
 
 PAPER_T = Tableau(((1, 1, 2, 3), (2, 2, 3), (4, 4), (5,)))
+
+
+def ssyt_sweep(max_size: int, max_m: int):
+    """(T, m) for every T in SSYT(lam, m), |lam| <= max_size, 1 <= m <= max_m."""
+    for size in range(max_size + 1):
+        for lam in enumerate_partitions(size):
+            for m in range(1, max_m + 1):
+                for T in enumerate_ssyt(lam, m):
+                    yield T, m
 
 
 class TestJdt:
@@ -174,6 +190,26 @@ class TestEvacuation:
     def test_matches_rotate_complement_oracle(self, lam, m):
         for T in enumerate_ssyt(Partition(lam), m):
             assert evacuation(T, m) == evacuation_oracle(T, m)
+
+    def test_matches_rotate_complement_oracle_sweep(self):
+        """Every T in SSYT(lam, m), |lam| <= 6, m <= 6."""
+        checked = 0
+        for T, m in ssyt_sweep(6, 6):
+            assert evacuation(T, m) == evacuation_oracle(T, m), (T, m)
+            checked += 1
+        assert checked > 12_000
+
+    def test_row_kernel_matches_promotion_chain(self):
+        """The insertion kernel alone, with no check around it, against
+        xi_[1,k] by its definition pr_k, ..., pr_2: every T in SSYT(lam, m),
+        |lam| <= 6, m <= 6, 1 <= k <= m + 2."""
+        checked = 0
+        for T, m in ssyt_sweep(6, 6):
+            for k in range(1, m + 3):
+                expected = partial_evacuation_oracle(T.rows, k)
+                assert _evacuate_rows(T.rows, k) == expected, (T, k)
+                checked += 1
+        assert checked > 90_000
 
     def test_reverses_content(self):
         for lam in [(3, 2), (2, 2, 1), (4, 1)]:
