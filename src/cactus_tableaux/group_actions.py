@@ -346,6 +346,17 @@ def promotion_perm(lam: tuple[int, ...], m: Optional[int], k: int) -> Permutatio
     )
 
 
+# A domain (lam, m) belongs to one verify shard, so these caches live for one
+# shard.  Bound at import: a wrapper later set on an attribute has no cache_clear.
+_DOMAIN_CACHES = (_index, interval_perm, promotion_perm, bk_t_perm, _syt_t_perms)
+
+
+def _drop_domains() -> None:
+    """Empty the domain index and every permutation built on a domain."""
+    for cache in _DOMAIN_CACHES:
+        cache.cache_clear()
+
+
 def word_perm(
     w: Word, lam: Partition, m: Optional[int] = None, domain: str = "ssyt"
 ) -> Permutation:

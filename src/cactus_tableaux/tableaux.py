@@ -354,7 +354,8 @@ def _index(lam: tuple[int, ...], m: Optional[int]) -> dict[Rows, int]:
     tableau tuples, the induced permutations and the counterexamples all
     read positions from it.  Its post-condition, checked in every run mode:
     the domain has as many distinct rows as the hook-length (SYT) or
-    hook-content (SSYT) formula counts.
+    hook-content (SSYT) formula counts.  A domain lives for one verify
+    shard, at whose end ``group_actions._drop_domains`` empties this cache.
     """
     if m is None:
         rows, count = _syt_rows(lam), _syt_count(lam)

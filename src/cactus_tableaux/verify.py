@@ -14,7 +14,8 @@ recorded as EXPECTED-FAIL, and a pass there is itself a suite failure
 
 Every (n, shape, check) job of a run is grouped into one shard per
 (n, shape), so the domain of that shape and its cached generator
-permutations are built once, in the process that runs all of its checks.
+permutations are built once, in the process that runs all of its checks,
+and dropped when the shard ends: no other shard reads them.
 Shards go to a worker pool largest domain first, and the records come back
 sorted by (n, shape, check), so the output does not depend on the worker
 count.
@@ -45,6 +46,7 @@ from .group_actions import (
     BKWord,
     CactusWord,
     Word,
+    _drop_domains,
     bk_t_perm,
     chi_translate,
     interval_perm,
@@ -430,6 +432,11 @@ class RunConfig:
             raise ValueError(
                 f"n > {HARD_CAP} needs the explicit large-run override"
             )
+        if isinstance(self.shapes, str) and self.shapes not in ("all", "hooks"):
+            raise ValueError(
+                "shapes must be 'all', 'hooks' or a tuple of shapes,"
+                f" not {self.shapes!r}"
+            )
         if self.workers < 1:
             raise ValueError("worker count must be >= 1")
         for name in self.relations:
@@ -468,8 +475,11 @@ def _run_check(job: Job) -> RelationReport:
 
 
 def _run_shard(shard: list[Job]) -> list[RelationReport]:
-    """Run every check of one (n, shape) in this process."""
-    return [_run_check(job) for job in shard]
+    """Run every check of one (n, shape) in this process, then drop its domains."""
+    try:
+        return [_run_check(job) for job in shard]
+    finally:
+        _drop_domains()
 
 
 def _classify(name: str, shape: Shape, report: RelationReport) -> str:

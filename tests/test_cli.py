@@ -345,6 +345,21 @@ def test_verify_relations_n6_stream_is_pinned(capsys, workers):
     assert hashlib.sha256(out).hexdigest() == RELATIONS_N6_SHA256
 
 
+# sha256 of the record stream of verify relations --n 7 (134 records).
+RELATIONS_N7_SHA256 = (
+    "d8b3d080703883baad11ad2d74005d2129a589cdae9f4bb58ac94a81cece08ac"
+)
+
+
+def test_verify_relations_n7_pool_stream_is_pinned(capsys):
+    # The pool path, where each worker drops its domains between shards.
+    code = dispatch(["verify", "relations", "--n", "7", "--workers", "2"])
+    out = capsys.readouterr().out.encode()
+    assert code == 0
+    assert len(out.splitlines()) == 134 + 1
+    assert hashlib.sha256(out).hexdigest() == RELATIONS_N7_SHA256
+
+
 def test_verify_seed_is_accepted_and_ignored(capsys):
     argv = ["verify", "relations", "--n-min", "2", "--n-max", "4"]
     code = dispatch(argv)

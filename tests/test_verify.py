@@ -2,13 +2,21 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from cactus_tableaux import verify
 from cactus_tableaux.cli import _emit_summary
-from cactus_tableaux.group_actions import BKWord
+from cactus_tableaux.group_actions import (
+    _DOMAIN_CACHES,
+    BKWord,
+    bk_t_perm,
+    interval_perm,
+)
 from cactus_tableaux.shapes import Permutation, enumerate_partitions
 from cactus_tableaux.tableaux import Tableau, _index, enumerate_ssyt
 from cactus_tableaux.verify import (
@@ -39,6 +47,12 @@ class TestRunConfig:
     def test_unknown_relation(self):
         with pytest.raises(ValueError):
             make_config(relations=("nope",))
+
+    @pytest.mark.parametrize("shapes", ["hook", "", "ALL"])
+    def test_unknown_shape_filter(self, shapes):
+        # Any other string used to fail inside batch_verify, read as a shape.
+        with pytest.raises(ValueError, match="'all', 'hooks' or a tuple"):
+            RunConfig(2, 3, shapes=shapes)
 
     def test_all_checks_includes_theorem_suites(self):
         assert "main-theorem" in ALL_CHECKS
@@ -159,6 +173,33 @@ def test_pool_is_never_larger_than_the_shard_count(monkeypatch):
     summary = batch_verify(make_config(workers=64))
     assert requested == [len(enumerate_partitions(3))]
     assert summary.records == batch_verify(make_config()).records
+
+
+def _cached_domains() -> list[int]:
+    return [cache.cache_info().currsize for cache in _DOMAIN_CACHES]
+
+
+def test_a_run_leaves_no_domain_cached():
+    # A domain belongs to one shard, so each shard drops its caches at its
+    # end; a serial run leaves none warm in this process.
+    batch_verify(make_config(n_min=2, n_max=4, relations=ALL_CHECKS))
+    assert _cached_domains() == [0] * len(_DOMAIN_CACHES)
+
+
+def test_a_check_that_raises_leaves_no_domain_cached(monkeypatch):
+    built = []
+
+    def broken(n, shape):
+        interval_perm(shape, n, 1, 2)  # _index, promotion_perm, interval_perm
+        bk_t_perm(shape, None, 1)  # _syt_t_perms, bk_t_perm
+        built.append(_cached_domains())
+        raise RuntimeError("broken check")
+
+    monkeypatch.setitem(verify.CHECKS, "star", verify.Check(broken))
+    with pytest.raises(RuntimeError, match="broken check"):
+        batch_verify(make_config(relations=("star",)))
+    assert 0 not in built[0]
+    assert _cached_domains() == [0] * len(_DOMAIN_CACHES)
 
 
 @pytest.mark.parametrize("domain, m", [("ssyt", 5), ("syt", None)])
@@ -325,3 +366,24 @@ def test_records_match_the_committed_smoke_run(config, expected_file):
         Path(__file__).resolve().parent.parent / "perfbench" / "expected" / expected_file
     )
     assert stream.getvalue().encode() == expected.read_bytes()
+
+
+def test_traced_pool_run_matches_the_committed_smoke_run(tmp_path):
+    # The benchmark's tracer replaces the public cached builders by wrappers
+    # without cache_clear; a pooled run under it must still drop each shard's
+    # domains and print the untraced records.
+    root = Path(__file__).resolve().parent.parent
+    src = str(root / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    child = [sys.executable, str(root / "perfbench" / "child.py"), "cli"]
+    trace = ["--trace", "full", "--trace-dir", str(tmp_path)]
+    argv = ["verify", "relations", "--n-min", "2", "--n-max", "4", "--workers", "2"]
+    proc = subprocess.run(
+        [*child, *trace, "--", *argv],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        timeout=120,
+    )
+    assert proc.returncode == 1, proc.stderr.decode()
+    expected = root / "perfbench" / "expected" / "smoke-relations-n4.jsonl"
+    assert proc.stdout == expected.read_bytes()
