@@ -15,7 +15,7 @@ from functools import lru_cache, reduce
 from typing import Iterable, Optional, Union
 
 from .shapes import Interval, Partition, Permutation
-from .sliding import _evacuated, _interval_rows, _promote_rows
+from .sliding import _evacuated, _interval_rows, _promote_rows, _promoted
 from .gt_patterns import _swap_rows, _swapped
 from .tableaux import Rows, Tableau, _index, _straight_ssyt_rows, syt_tuple
 
@@ -80,7 +80,13 @@ class BKWord:
         return BKWord(self.n, _repeated(self.factors, e))
 
     def expand(self) -> tuple[int, ...]:
-        """Flatten p/q atoms into the underlying t-generator indices."""
+        """Flatten p/q atoms into the underlying t-generator indices.
+
+        By definition p_k = t_k ... t_1 and q_k = p_1 p_2 ... p_k.  The
+        actions do not go through this expansion: Berenstein-Kirillov show
+        that p_k acts as bounded promotion pr_{k+1} and q_k as xi_[1,k+1],
+        and the ``pq-promotion`` check compares both sides on whole domains.
+        """
         out: list[int] = []
         for kind, k in self.factors:
             if kind == "t":
@@ -151,10 +157,21 @@ def cactus_act(w: CactusWord, T: Tableau) -> Tableau:
 
 
 def bk_act(w: BKWord, T: Tableau) -> Tableau:
-    """Apply the word: each t_k acts by the strip swap at level k, checked."""
+    """Apply the word atom by atom, one checked kernel pass each.
+
+    t_k acts by the strip swap at level k.  By the Berenstein-Kirillov rule,
+    p_k = t_k ... t_1 acts as bounded promotion pr_{k+1}, and q_k = p_1 ... p_k
+    as the partial Schutzenberger involution xi_[1,k+1]; ``pq-promotion``
+    checks that rule on whole domains, against t_k built by strip swaps.
+    """
     rows = _acted_rows(w, T)
-    for k in reversed(w.expand()):
-        rows = _swapped(rows, k)
+    for kind, k in reversed(w.factors):
+        if kind == "t":
+            rows = _swapped(rows, k)
+        elif kind == "p":
+            rows = _promoted(rows, k + 1)
+        else:
+            rows = _evacuated(rows, k + 1)
     return Tableau(rows)
 
 
@@ -346,9 +363,34 @@ def promotion_perm(lam: tuple[int, ...], m: Optional[int], k: int) -> Permutatio
     )
 
 
+@lru_cache(maxsize=None)
+def _atom_perm(
+    lam: tuple[int, ...], m: Optional[int], kind: str, k: int
+) -> Permutation:
+    """The atom t_k, p_k or q_k as a permutation of (lam, m).
+
+    Built from t's only, by the definitions p_1 = q_1 = t_1,
+    p_k = t_k p_{k-1} and q_k = q_{k-1} p_k.  Never from ``promotion_perm``
+    or ``interval_perm``: ``pq-promotion`` and ``chi-consistency`` compare
+    the atoms with exactly those.
+    """
+    if kind == "t" or k == 1:
+        return bk_t_perm(lam, m, k)
+    if kind == "p":
+        return bk_t_perm(lam, m, k) * _atom_perm(lam, m, "p", k - 1)
+    return _atom_perm(lam, m, "q", k - 1) * _atom_perm(lam, m, "p", k)
+
+
 # A domain (lam, m) belongs to one verify shard, so these caches live for one
 # shard.  Bound at import: a wrapper later set on an attribute has no cache_clear.
-_DOMAIN_CACHES = (_index, interval_perm, promotion_perm, bk_t_perm, _syt_t_perms)
+_DOMAIN_CACHES = (
+    _index,
+    interval_perm,
+    promotion_perm,
+    bk_t_perm,
+    _syt_t_perms,
+    _atom_perm,
+)
 
 
 def _drop_domains() -> None:
@@ -374,7 +416,7 @@ def word_perm(
     if isinstance(w, CactusWord):
         factors = [interval_perm(lam, m, a, b) for a, b in w.factors]
     else:
-        factors = [bk_t_perm(lam, m, k) for k in w.expand()]
+        factors = [_atom_perm(lam, m, kind, k) for kind, k in w.factors]
     if not factors:
         return Permutation.identity(len(_index(lam, m)))
     return reduce(operator.mul, factors)

@@ -168,11 +168,15 @@ def _reflect(J: Interval, K: Interval) -> Interval:
 
 
 def cactus_defining_pairs(n: int) -> list[tuple[str, CactusWord, CactusWord]]:
-    """Both sides of every defining relation, as words."""
+    """Both sides of every defining relation, as words.
+
+    A disjoint pair is listed once, with J before K: "K J = J K" compares
+    the same two permutations as "J K = K J", and would come later.
+    """
     e = _cw(n)
     pairs = [(f"{J}^2", _cw(n, J, J), e) for J in _intervals(n)]
     for J, K in _interval_pairs(n):
-        if J.b < K.a or K.b < J.a:
+        if J.b < K.a:
             pairs.append((f"{J}{K} disjoint", _cw(n, J, K), _cw(n, K, J)))
         elif _nested(J, K) and J != K:
             pairs.append((f"{J}{K} nested", _cw(n, J, K), _cw(n, _reflect(J, K), J)))

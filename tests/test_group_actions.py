@@ -1,9 +1,11 @@
 """Words, induced permutations, and the relation checkers."""
 
+import operator
 import os
 import random
 import subprocess
 import sys
+from functools import reduce
 from pathlib import Path
 
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from cactus_tableaux import tableaux
 from cactus_tableaux.group_actions import (
+    _atom_perm,
     _induced_perm,
     BKWord,
     CactusWord,
@@ -250,6 +253,34 @@ class TestWordPerms:
     def test_window_past_the_alphabet_is_malformed_input(self, text, n, m, domain):
         with pytest.raises(ValueError, match="alphabet 1..3"):
             word_perm(parse_word(text, n), (2, 1), m, domain)
+
+
+class TestAtoms:
+    """p_k and q_k act as one atom each: by one kernel pass on a tableau and
+    by one cached permutation on a domain.  Their t-expansion is the oracle."""
+
+    @pytest.mark.parametrize("size", range(1, 6))
+    def test_act_equals_the_strip_swaps_of_the_expansion(self, size):
+        for lam in map(tuple, enumerate_partitions(size)):
+            for m in range(max(2, len(lam)), 7):
+                words = [BKWord(m, ((kind, k),)) for kind in "pq" for k in range(1, m)]
+                expansions = [tuple(reversed(w.expand())) for w in words]
+                for rows in _index(lam, m):
+                    T = Tableau(rows)
+                    for w, ts in zip(words, expansions):
+                        expected = reduce(_swap_rows, ts, rows)
+                        assert act(w, T).rows == expected, (str(w), rows)
+
+    @pytest.mark.parametrize("n", range(2, 6))
+    def test_cached_atom_equals_the_product_of_its_t_perms(self, n):
+        for lam in map(tuple, enumerate_partitions(n)):
+            for m in (n, None):
+                for kind in "tpq":
+                    for k in range(1, n):
+                        ts = BKWord(n, ((kind, k),)).expand()
+                        assert _atom_perm(lam, m, kind, k) == reduce(
+                            operator.mul, (bk_t_perm(lam, m, j) for j in ts)
+                        ), (lam, m, kind, k)
 
 
 class TestLiftedIntervalPerms:
@@ -506,6 +537,8 @@ calls = {
     "domain count": domain_without_its_first_tableau,
     "promotion_perm": lambda: group_actions.promotion_perm((2, 1), None, 2),
     "act t2": lambda: group_actions.act(group_actions.parse_word("t2", 3), T),
+    "act p2": lambda: group_actions.act(group_actions.parse_word("p2", 3), T),
+    "act q2": lambda: group_actions.act(group_actions.parse_word("q2", 3), T),
     "act c[1,3]": lambda: group_actions.act(group_actions.parse_word("c[1,3]", 3), T),
 }
 for name, call in calls.items():

@@ -14,10 +14,12 @@ from cactus_tableaux.cli import _emit_summary
 from cactus_tableaux.group_actions import (
     _DOMAIN_CACHES,
     BKWord,
+    CactusWord,
     bk_t_perm,
     interval_perm,
+    word_perm,
 )
-from cactus_tableaux.shapes import Permutation, enumerate_partitions
+from cactus_tableaux.shapes import Interval, Permutation, enumerate_partitions
 from cactus_tableaux.tableaux import Tableau, _index, enumerate_ssyt
 from cactus_tableaux.verify import (
     ALL_CHECKS,
@@ -192,6 +194,7 @@ def test_a_check_that_raises_leaves_no_domain_cached(monkeypatch):
     def broken(n, shape):
         interval_perm(shape, n, 1, 2)  # _index, promotion_perm, interval_perm
         bk_t_perm(shape, None, 1)  # _syt_t_perms, bk_t_perm
+        word_perm(BKWord(n, (("p", 1),)), shape, n)  # _atom_perm
         built.append(_cached_domains())
         raise RuntimeError("broken check")
 
@@ -307,6 +310,38 @@ def test_chi_consistency_failure_record(monkeypatch):
         '"counterexample": {"tableau": {"rows": [[1, 1], [2]]}, '
         '"lhs": "c[1,3]", "rhs": "t1"}}'
     )
+
+
+def test_disjoint_pair_failure_record(monkeypatch):
+    # c[1,2] acts as c[2,3], which does not commute with c[3,4].  The
+    # mirrored pair "c[3,4]c[1,2] disjoint" compares the same two
+    # permutations and would come later, so listing it could not change
+    # this record.
+    real = verify.word_perm
+
+    def broken(w, *args):
+        if isinstance(w, CactusWord):
+            J, K = Interval(1, 2), Interval(2, 3)
+            w = CactusWord(w.n, tuple(K if f == J else f for f in w.factors))
+        return real(w, *args)
+
+    monkeypatch.setattr(verify, "word_perm", broken)
+    report = verify.check_cactus_defining(5, (2, 1, 1, 1))
+    assert json.dumps(report.to_json()) == (
+        '{"relation": "cactus-defining", "n": 5, "shape": [2, 1, 1, 1], '
+        '"status": "FAIL", "counterexample": '
+        '{"tableau": {"rows": [[1, 1], [2], [3], [5]]}, '
+        '"instance": "c[1,2]c[3,4] disjoint", '
+        '"lhs": "c[1,2] c[3,4]", "rhs": "c[3,4] c[1,2]"}}'
+    )
+
+
+def test_each_disjoint_pair_is_listed_once():
+    instances = [name for name, _, _ in verify.cactus_defining_pairs(5)]
+    disjoint = [name for name in instances if name.endswith("disjoint")]
+    assert len(instances) == 40 and len(disjoint) == 5
+    assert "c[1,2]c[3,4] disjoint" in disjoint
+    assert "c[3,4]c[1,2] disjoint" not in disjoint
 
 
 def test_a_check_builds_nothing_after_its_first_failure(monkeypatch):
