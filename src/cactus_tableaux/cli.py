@@ -123,7 +123,9 @@ def _make_config(args) -> RunConfig:
     if n_min is None or n_max is None:
         raise ValueError("give --n or --n-min/--n-max")
     relations = (
-        tuple(args.relations.split(",")) if args.relations else ALL_CHECKS
+        tuple(args.relations.split(","))
+        if args.relations is not None
+        else ALL_CHECKS
     )
     return RunConfig(
         n_min=n_min,
@@ -144,6 +146,8 @@ def _emit_summary(summary: Summary, stream) -> int:
 
 def _cmd_verify(args, stream) -> int:
     if args.target == "main-theorem":
+        if args.relations is not None:
+            raise ValueError("verify main-theorem takes no --relations")
         args.relations = "main-theorem"
     config = _make_config(args)
     return _emit_summary(batch_verify(config), stream)

@@ -34,7 +34,7 @@ class CactusWord:
     factors: tuple[Interval, ...]
 
     def __post_init__(self):
-        factors = tuple(Interval(*f) for f in self.factors)
+        factors = tuple(Interval(*map(operator.index, f)) for f in self.factors)
         for f in factors:
             f.validate_generator(self.n)
         object.__setattr__(self, "factors", factors)
@@ -43,6 +43,8 @@ class CactusWord:
         return " ".join(str(f) for f in self.factors) or "<identity>"
 
     def __mul__(self, other: "CactusWord") -> "CactusWord":
+        if not isinstance(other, CactusWord):
+            return NotImplemented
         if self.n != other.n:
             raise ValueError("rank mismatch")
         return CactusWord(self.n, self.factors + other.factors)
@@ -60,7 +62,7 @@ class BKWord:
     factors: tuple[BKAtom, ...]
 
     def __post_init__(self):
-        factors = tuple(self.factors)
+        factors = tuple((kind, operator.index(k)) for kind, k in self.factors)
         for kind, k in factors:
             if kind not in ("t", "p", "q"):
                 raise ValueError(f"unknown atom kind {kind!r}")
@@ -72,6 +74,8 @@ class BKWord:
         return " ".join(f"{kind}{k}" for kind, k in self.factors) or "<identity>"
 
     def __mul__(self, other: "BKWord") -> "BKWord":
+        if not isinstance(other, BKWord):
+            return NotImplemented
         if self.n != other.n:
             raise ValueError("rank mismatch")
         return BKWord(self.n, self.factors + other.factors)
@@ -278,8 +282,7 @@ def interval_perm(
     partial_evacuation computes xi_[1,b] by row insertion instead, so the
     two are independent and the tests compare them.
     """
-    if not 1 <= a <= b:
-        raise ValueError(f"invalid interval [{a},{b}]")
+    _check_window(lam, m, f"xi[{a},{b}]", a, b)
     if a > 1:
         outer = interval_perm(lam, m, 1, b)
         return outer * interval_perm(lam, m, 1, b - a + 1) * outer
@@ -469,11 +472,11 @@ def generator_permutation(
     return Permutation(index[act(g, t)] + 1 for t in tabs)
 
 
+GROUP_ORDER_CAP = 10**6  # generated_group_order raises RuntimeError past it
+
+
 def generated_group_order(
-    lam: Partition,
-    generators: Iterable[Word],
-    ordering: str = "reading",
-    cap: int = 10**6,
+    lam: Partition, generators: Iterable[Word], ordering: str = "reading"
 ) -> int:
     """Order of the permutation group the words generate on SYT(lam)."""
     gens = [generator_permutation(lam, g, ordering) for g in generators]
@@ -489,9 +492,10 @@ def generated_group_order(
                 if q not in seen:
                     seen.add(q)
                     nxt.append(q)
-                    if len(seen) > cap:
+                    if len(seen) > GROUP_ORDER_CAP:
                         raise RuntimeError(
-                            f"generated group exceeds cap of {cap} elements"
+                            "generated group exceeds cap of"
+                            f" {GROUP_ORDER_CAP} elements"
                         )
         frontier = nxt
     return len(seen)

@@ -19,7 +19,6 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterator
 
-from .shapes import Partition
 from .tableaux import (
     Rows,
     Tableau,
@@ -60,10 +59,6 @@ class GTPattern:
         if i < 1:
             raise IndexError(f"column {i} out of range")
         return self.rows[j - 1][i - 1] if i <= j else 0
-
-    @property
-    def top_shape(self) -> Partition:
-        return Partition(self.rows[-1]) if self.rows else Partition()
 
     def to_json(self) -> dict:
         return {"rows": [list(row) for row in self.rows]}

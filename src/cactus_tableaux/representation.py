@@ -168,13 +168,6 @@ class MultiplicityVector:
     degree: int
     mults: tuple[tuple[Partition, int], ...]  # reverse-lex order, all shapes
 
-    def mult(self, mu: Partition) -> int:
-        mu = Partition(mu)
-        for shape, m in self.mults:
-            if shape == mu:
-                return m
-        raise KeyError(f"{mu} is not a partition of {self.degree}")
-
     def nonzero(self) -> dict[Partition, int]:
         return {shape: m for shape, m in self.mults if m}
 

@@ -11,13 +11,12 @@ what the chain of bounded promotions pr_k, ..., pr_2 would.
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Callable, Optional
+from typing import Optional
 
 from .shapes import Interval
 from .tableaux import Rows, Tableau, _check_image, _straight_ssyt_rows
 
 Cell = tuple[int, int]
-ChoicePolicy = Callable[[list[Cell]], Cell]
 
 
 def _southeast_most(boxes: list[Cell]) -> Cell:
@@ -65,18 +64,15 @@ def _slide_hole(grid: dict[Cell, int], start: Cell) -> Cell:
         r, c = target
 
 
-def jdt_rectify(T: Tableau, choice_policy: Optional[ChoicePolicy] = None) -> Tableau:
-    """Rectify a semistandard skew tableau to a straight one."""
+def jdt_rectify(T: Tableau) -> Tableau:
+    """Rectify a semistandard skew tableau to a straight one, each slide
+    starting at the southeast-most movable box."""
     if not T.is_semistandard():
         raise ValueError("jdt requires a semistandard tableau")
-    policy = choice_policy or _southeast_most
     grid = _to_grid(T)
     inner = list(T.inner)
     while any(inner):
-        boxes = _movable_boxes(inner)
-        box = policy(sorted(boxes))
-        if box not in boxes:
-            raise ValueError(f"choice policy returned non-movable box {box}")
+        box = _southeast_most(_movable_boxes(inner))
         inner[box[0]] -= 1
         _slide_hole(grid, box)
     while inner and inner[-1] == 0:

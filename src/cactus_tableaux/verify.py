@@ -74,10 +74,6 @@ class RelationReport:
     status: str  # PASS | FAIL
     counterexample: Optional[dict] = None
 
-    @property
-    def passed(self) -> bool:
-        return self.status == "PASS"
-
     def to_json(self) -> dict:
         obj: dict = {
             "relation": self.relation,
@@ -122,15 +118,19 @@ def _check_word_pairs(
     relation: str,
     n: int,
     shape: Shape,
-    pairs: Iterable[tuple[str, Word, Word]],
+    pairs: Iterable[tuple[Optional[str], Word, Word]],
     domain: str,
 ) -> RelationReport:
+    """Compare each (name, lhs, rhs) pair; a pair named None reports no
+    ``instance`` field."""
     lam = tuple(Partition(shape))
     comparisons = (
         (
             word_perm(lhs, lam, n, domain),
             word_perm(rhs, lam, n, domain),
-            {"instance": name, "lhs": str(lhs), "rhs": str(rhs)},
+            {"lhs": str(lhs), "rhs": str(rhs)}
+            if name is None
+            else {"instance": name, "lhs": str(lhs), "rhs": str(rhs)},
         )
         for name, lhs, rhs in pairs
     )
@@ -277,19 +277,8 @@ def check_chi_consistency(n: int, shape: Shape) -> RelationReport:
     and ``word_perm`` multiplies factor permutations, so on both sides a
     word's permutation is the product of its factors' permutations.
     """
-    lam = tuple(Partition(shape))
-
-    def comparisons():
-        for J in _intervals(n):
-            w = _cw(n, J)
-            translated = chi_translate(w)
-            yield (
-                word_perm(w, lam, n, "ssyt"),
-                word_perm(translated, lam, n, "ssyt"),
-                {"lhs": str(w), "rhs": str(translated)},
-            )
-
-    return _compare("chi-consistency", n, lam, "ssyt", comparisons())
+    pairs = [(None, w, chi_translate(w)) for w in (_cw(n, J) for J in _intervals(n))]
+    return _check_word_pairs("chi-consistency", n, shape, pairs, "ssyt")
 
 
 def check_reduced_cactus(n: int, shape: Shape) -> RelationReport:

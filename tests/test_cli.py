@@ -141,13 +141,16 @@ def test_act_malformed_tableau_exits_2(capsys):
         ("verify", "relations", "--n", "2", "--shapes", "[[true,true]]"),
         ("verify", "relations", "--n-min", "3"),
         ("verify", "main-theorem", "--n-min", "4"),
+        ("verify", "relations", "--n", "3", "--relations", ""),
+        ("verify", "main-theorem", "--n", "4", "--relations", "star"),
     ],
     ids=["syt-no-shape", "ssyt-no-m", "partitions-no-n", "shapes-not-list",
          "rows-not-list", "patterns-no-m", "shape-not-list", "nu-not-list",
          "content-not-list", "inner-not-list", "empty-word-non-semistandard",
          "empty-word-skew", "syt-too-deep", "kostka-too-deep", "rows-bool",
          "shape-bool", "kostka-bool", "shapes-bool", "n-min-only",
-         "main-theorem-n-min-only"],
+         "main-theorem-n-min-only", "relations-empty",
+         "main-theorem-relations"],
 )
 def test_malformed_input_exits_2_with_one_line(capsys, argv):
     code = dispatch(list(argv))

@@ -3,6 +3,7 @@
 import operator
 import os
 import random
+import re
 import subprocess
 import sys
 from functools import reduce
@@ -102,6 +103,22 @@ class TestParsing:
         assert (word**2).factors == word.factors * 2
         with pytest.raises(ValueError, match="negative power"):
             word**-1
+
+    def test_bk_index_is_normalised_to_int(self):
+        w = BKWord(3, (("t", True),))
+        assert str(w) == "t1" and type(w.factors[0][1]) is int
+
+    def test_cactus_index_must_be_an_integer(self):
+        with pytest.raises(TypeError):
+            CactusWord(3, ((1.0, 2),))
+
+    def test_cactus_times_bk_word_is_a_type_error(self):
+        with pytest.raises(TypeError, match="unsupported operand"):
+            CactusWord(3, ((1, 2),)) * BKWord(3, (("t", 1),))
+
+    def test_bk_times_cactus_word_is_a_type_error(self):
+        with pytest.raises(TypeError, match="unsupported operand"):
+            BKWord(3, (("t", 1),)) * CactusWord(3, ((1, 2),))
 
     def test_expand(self):
         w = BKWord(5, (("q", 3),))
@@ -240,18 +257,25 @@ class TestWordPerms:
 
 
     @pytest.mark.parametrize(
-        "text, n, m, domain",
+        "text, n, m, domain, what",
         [
-            ("c[1,4]", 4, 3, "ssyt"),
-            ("c[1,5]", 5, None, "syt"),
-            ("t3", 4, 3, "ssyt"),
-            ("q3", 4, 3, "ssyt"),
-            ("t3", 4, None, "syt"),
-            ("t4", 5, None, "syt"),
+            ("c[1,4]", 4, 3, "ssyt", "xi[1,4]"),
+            ("c[1,5]", 5, None, "syt", "xi[1,5]"),
+            ("t3", 4, 3, "ssyt", "t3"),
+            ("q3", 4, 3, "ssyt", "t3"),
+            ("t3", 4, None, "syt", "t3"),
+            ("t4", 5, None, "syt", "t4"),
         ],
+        ids=["c[1,4]-4-3-ssyt", "c[1,5]-5-None-syt", "t3-4-3-ssyt",
+             "q3-4-3-ssyt", "t3-4-None-syt", "t4-5-None-syt"],
     )
-    def test_window_past_the_alphabet_is_malformed_input(self, text, n, m, domain):
-        with pytest.raises(ValueError, match="alphabet 1..3"):
+    def test_window_past_the_alphabet_is_malformed_input(
+        self, text, n, m, domain, what
+    ):
+        # The message names the generator whose window is out, not an
+        # inner build.
+        match = re.escape(what) + " needs a window inside the alphabet 1..3"
+        with pytest.raises(ValueError, match=match):
             word_perm(parse_word(text, n), (2, 1), m, domain)
 
 

@@ -56,8 +56,7 @@ class TestJdt:
 
     def test_policy_choice_does_not_matter(self):
         skew = Tableau(rows=((1, 2, 2), (2, 4, 4, 5), (2, 3)), inner=(2, 1))
-        northwest = jdt_rectify(skew, choice_policy=lambda boxes: boxes[0])
-        assert northwest == jdt_rectify(skew)
+        assert jdt_all_rectifications(skew) == {jdt_rectify(skew)}
 
 
 def test_jdt_confluence_sweep():

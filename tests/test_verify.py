@@ -19,7 +19,12 @@ from cactus_tableaux.group_actions import (
     interval_perm,
     word_perm,
 )
-from cactus_tableaux.shapes import Interval, Permutation, enumerate_partitions
+from cactus_tableaux.shapes import (
+    Interval,
+    Partition,
+    Permutation,
+    enumerate_partitions,
+)
 from cactus_tableaux.tableaux import Tableau, _index, enumerate_ssyt
 from cactus_tableaux.verify import (
     ALL_CHECKS,
@@ -309,6 +314,56 @@ def test_chi_consistency_failure_record(monkeypatch):
         '{"relation": "chi-consistency", "n": 3, "shape": [2, 1], "status": "FAIL", '
         '"counterexample": {"tableau": {"rows": [[1, 1], [2]]}, '
         '"lhs": "c[1,3]", "rhs": "t1"}}'
+    )
+
+
+def test_chi_consistency_failure_record_keeps_its_fields(monkeypatch):
+    # chi-consistency runs through the word-pair loop, but its pairs carry
+    # no instance name, so the record has no "instance" field.
+    monkeypatch.setattr(verify, "chi_translate", lambda w: BKWord(w.n, (("t", 1),)))
+    assert verify.check_chi_consistency(4, (2, 1, 1)).to_json() == {
+        "relation": "chi-consistency", "n": 4, "shape": [2, 1, 1],
+        "status": "FAIL",
+        "counterexample": {
+            "tableau": {"rows": [[1, 1], [2], [3]]}, "lhs": "c[1,3]", "rhs": "t1",
+        },
+    }
+
+
+def test_main_theorem_failure_record(monkeypatch):
+    # The Kostka side of the one-row shape cannot match the (3,1) module.
+    real = verify.kostka_vector
+    monkeypatch.setattr(
+        verify, "kostka_vector", lambda lam: real(Partition((lam.size,)))
+    )
+    report = verify.verify_main_theorem(Partition((3, 1)))
+    assert json.dumps(report.to_json()) == (
+        '{"relation": "main-theorem", "n": 4, "shape": [3, 1], "status": "FAIL", '
+        '"counterexample": {"module": {"degree": 3, "mults": '
+        '[{"mu": [3], "mult": 1}, {"mu": [2, 1], "mult": 1}]}, '
+        '"kostka": {"degree": 3, "mults": [{"mu": [3], "mult": 1}]}}}'
+    )
+
+
+def test_fold_not_a_bijection_record(monkeypatch):
+    real = verify.fold_map
+    first = Tableau(((1, 2, 3), (4,)))
+    monkeypatch.setattr(verify, "fold_map", lambda T: real(first))
+    report = verify.verify_fold_equivariance(Partition((3, 1)))
+    assert json.dumps(report.to_json()) == (
+        '{"relation": "fold-equivariance", "n": 4, "shape": [3, 1], '
+        '"status": "FAIL", "counterexample": {"reason": "fold is not a bijection"}}'
+    )
+
+
+def test_fold_equivariance_failure_record(monkeypatch):
+    # s_i acting trivially breaks equivariance at the first tableau t_2 moves.
+    monkeypatch.setattr(verify, "permutation_act_tabloid", lambda s, P: P)
+    report = verify.verify_fold_equivariance(Partition((3, 1)))
+    assert json.dumps(report.to_json()) == (
+        '{"relation": "fold-equivariance", "n": 4, "shape": [3, 1], '
+        '"status": "FAIL", "counterexample": '
+        '{"i": 1, "tableau": {"rows": [[1, 2, 4], [3]]}}}'
     )
 
 
