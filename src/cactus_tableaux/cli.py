@@ -246,7 +246,7 @@ def dispatch(argv: Optional[Sequence[str]] = None) -> int:
         if out_path:
             return _run_to_file(args, out_path)
         return args.func(args, sys.stdout)
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:

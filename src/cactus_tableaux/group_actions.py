@@ -11,13 +11,20 @@ from __future__ import annotations
 import operator
 import re
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import reduce
 from typing import Iterable, Optional, Union
 
 from .shapes import Interval, Partition, Permutation
 from .sliding import _evacuated, _interval_rows, _promote_rows, _promoted
 from .gt_patterns import _swap_rows, _swapped
-from .tableaux import Rows, Tableau, _index, _straight_ssyt_rows, syt_tuple
+from .tableaux import (
+    Rows,
+    Tableau,
+    _index,
+    _per_domain,
+    _straight_ssyt_rows,
+    syt_tuple,
+)
 
 
 def _repeated(factors: tuple, e: int) -> tuple:
@@ -269,7 +276,7 @@ def _check_window(
         )
 
 
-@lru_cache(maxsize=None)
+@_per_domain
 def interval_perm(
     lam: tuple[int, ...], m: Optional[int], a: int, b: int
 ) -> Permutation:
@@ -291,7 +298,7 @@ def interval_perm(
     return interval_perm(lam, m, 1, b - 1) * promotion_perm(lam, m, b)
 
 
-@lru_cache(maxsize=None)
+@_per_domain
 def bk_t_perm(lam: tuple[int, ...], m: Optional[int], k: int) -> Permutation:
     """t_k as a permutation of the domain (lam, m).
 
@@ -305,7 +312,7 @@ def bk_t_perm(lam: tuple[int, ...], m: Optional[int], k: int) -> Permutation:
     return _induced_perm(lam, m, lambda rows: _swap_rows(rows, k), f"t{k}")
 
 
-@lru_cache(maxsize=None)
+@_per_domain
 def _syt_t_perms(lam: tuple[int, ...]) -> tuple[Permutation, ...]:
     """t_1, ..., t_{n-1} as permutations of SYT(lam), n = |lam|.
 
@@ -353,7 +360,7 @@ def _syt_t_perms(lam: tuple[int, ...]) -> tuple[Permutation, ...]:
     return tuple(perms)
 
 
-@lru_cache(maxsize=None)
+@_per_domain
 def promotion_perm(lam: tuple[int, ...], m: Optional[int], k: int) -> Permutation:
     """Bounded promotion with window 1..k as a permutation of (lam, m).
 
@@ -366,7 +373,7 @@ def promotion_perm(lam: tuple[int, ...], m: Optional[int], k: int) -> Permutatio
     )
 
 
-@lru_cache(maxsize=None)
+@_per_domain
 def _atom_perm(
     lam: tuple[int, ...], m: Optional[int], kind: str, k: int
 ) -> Permutation:
@@ -382,24 +389,6 @@ def _atom_perm(
     if kind == "p":
         return bk_t_perm(lam, m, k) * _atom_perm(lam, m, "p", k - 1)
     return _atom_perm(lam, m, "q", k - 1) * _atom_perm(lam, m, "p", k)
-
-
-# A domain (lam, m) belongs to one verify shard, so these caches live for one
-# shard.  Bound at import: a wrapper later set on an attribute has no cache_clear.
-_DOMAIN_CACHES = (
-    _index,
-    interval_perm,
-    promotion_perm,
-    bk_t_perm,
-    _syt_t_perms,
-    _atom_perm,
-)
-
-
-def _drop_domains() -> None:
-    """Empty the domain index and every permutation built on a domain."""
-    for cache in _DOMAIN_CACHES:
-        cache.cache_clear()
 
 
 def word_perm(

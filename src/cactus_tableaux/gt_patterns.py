@@ -15,6 +15,7 @@ L(i,j+1) >= L(i,j) >= L(i+1,j+1).
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterator
@@ -33,7 +34,7 @@ class GTPattern:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        rows = tuple(tuple(int(x) for x in row) for row in self.rows)
+        rows = tuple(tuple(map(operator.index, row)) for row in self.rows)
         object.__setattr__(self, "rows", rows)
         for j, row in enumerate(rows, start=1):
             if len(row) != j:
@@ -240,15 +241,3 @@ def _swapped(rows: Rows, k: int) -> Rows:
     """t_k on rows, with its post-condition."""
     return _check_image(rows, _swap_rows(rows, k), "strip swap")
 
-
-__all__ = [
-    "GTPattern",
-    "Strip",
-    "StripRectangle",
-    "to_pattern",
-    "from_pattern",
-    "bk_tau",
-    "strip_location",
-    "strip_decomposition",
-    "strip_swap",
-]

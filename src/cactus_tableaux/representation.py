@@ -285,21 +285,3 @@ def delta_eigenspace_dims(lam: Partition) -> tuple[int, int]:
         raise AssertionError(f"{f} SYT and {fixed} fixed points have odd sum")
     return ((f + fixed) // 2, (f - fixed) // 2)
 
-
-__all__ = [
-    "CycleType",
-    "HookShape",
-    "CharacterValueTable",
-    "MultiplicityVector",
-    "tilde_composition",
-    "hook_length_dim",
-    "kostka_number",
-    "mn_character",
-    "class_size",
-    "character_table",
-    "schutzenberger_perm_character",
-    "decompose_schutzenberger",
-    "kostka_vector",
-    "fold_map",
-    "delta_eigenspace_dims",
-]

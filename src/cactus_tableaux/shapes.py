@@ -22,7 +22,7 @@ class Partition(tuple):
     def __new__(cls, parts: Iterable[int] = ()) -> "Partition":
         if type(parts) is cls:
             return parts  # already checked and normalised
-        parts = tuple(map(int, parts))
+        parts = tuple(map(operator.index, parts))
         if parts and min(parts) < 0:
             raise ValueError(f"negative part in partition: {parts}")
         if not all(map(operator.ge, parts, parts[1:])):
@@ -60,7 +60,7 @@ class Composition(tuple):
     """A tuple of nonnegative integers; order significant, zeros kept."""
 
     def __new__(cls, parts: Iterable[int] = ()) -> "Composition":
-        parts = tuple(int(p) for p in parts)
+        parts = tuple(map(operator.index, parts))
         for p in parts:
             if p < 0:
                 raise ValueError(f"negative part in composition: {parts}")
@@ -144,7 +144,7 @@ class Permutation:
     __slots__ = ("images",)
 
     def __init__(self, images: Iterable[int]):
-        images = tuple(map(int, images))
+        images = tuple(map(operator.index, images))
         if sorted(images) != list(range(1, len(images) + 1)):
             raise ValueError(f"not a bijection of 1..{len(images)}: {images}")
         object.__setattr__(self, "images", images)
@@ -205,8 +205,6 @@ class Permutation:
         """Restriction to {1..m}; requires all points > m to be fixed."""
         if any(self.images[x - 1] != x for x in range(m + 1, self.degree + 1)):
             raise ValueError(f"points above {m} are not fixed")
-        if any(y > m for y in self.images[:m]):
-            raise ValueError(f"does not stabilise 1..{m}")
         return Permutation(self.images[:m])
 
     def extended(self, m: int) -> "Permutation":

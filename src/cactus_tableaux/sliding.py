@@ -10,6 +10,7 @@ what the chain of bounded promotions pr_k, ..., pr_2 would.
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_right
 from typing import Optional
 
@@ -238,19 +239,9 @@ def partial_evacuation(T: Tableau, k: int) -> Tableau:
 
 def interval_evacuation(T: Tableau, J: Interval) -> Tableau:
     """The interval involution: xi[1,b] then xi[1,b-a+1] then xi[1,b]."""
-    a, b = Interval(*J)
+    a, b = Interval(*map(operator.index, J))
     if not 1 <= a < b:
         raise ValueError(f"invalid interval [{a},{b}]")
     rows = _straight_ssyt_rows(T, "interval evacuation")
     return Tableau(_interval_rows(rows, a, b))
 
-
-__all__ = [
-    "jdt_rectify",
-    "jdt_all_rectifications",
-    "promotion",
-    "bounded_promotion",
-    "evacuation",
-    "partial_evacuation",
-    "interval_evacuation",
-]

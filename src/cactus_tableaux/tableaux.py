@@ -28,7 +28,7 @@ class Tableau:
     inner: tuple[int, ...] = ()
 
     def __post_init__(self):
-        rows = tuple(tuple(map(int, row)) for row in self.rows)
+        rows = tuple(tuple(map(operator.index, row)) for row in self.rows)
         inner = tuple(Partition(self.inner)) if self.inner else ()
         # Drop trailing rows that carry no cells; trim inner to match.
         while rows and not rows[-1]:
@@ -116,7 +116,7 @@ class Tabloid:
 
     def __post_init__(self):
         shape = tuple(Composition(self.shape))
-        rows = tuple(frozenset(row) for row in self.rows)
+        rows = tuple(frozenset(map(operator.index, row)) for row in self.rows)
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "rows", rows)
         if len(rows) != len(shape):
@@ -345,7 +345,27 @@ def _ssyt_count(lam: tuple[int, ...], m: int) -> int:
     return math.prod(contents) // math.prod(_hook_lengths(lam))
 
 
-@lru_cache(maxsize=None)
+# A domain (lam, m) belongs to one verify shard, so every cache keyed by a
+# domain lives for one shard.  The list holds the lru objects themselves,
+# bound at decoration: a wrapper later set on a module attribute has no
+# cache_clear.
+_DOMAIN_CACHES: list = []
+
+
+def _per_domain(fn):
+    """Cache fn, whose first parameter is a domain's shape, for one shard."""
+    cache = lru_cache(maxsize=None)(fn)
+    _DOMAIN_CACHES.append(cache)
+    return cache
+
+
+def _drop_domains() -> None:
+    """Empty the domain index and every permutation built on a domain."""
+    for cache in _DOMAIN_CACHES:
+        cache.cache_clear()
+
+
+@_per_domain
 def _index(lam: tuple[int, ...], m: Optional[int]) -> dict[Rows, int]:
     """Positions in the domain (lam, m), keyed by the rows of each tableau.
 
@@ -355,7 +375,7 @@ def _index(lam: tuple[int, ...], m: Optional[int]) -> dict[Rows, int]:
     read positions from it.  Its post-condition, checked in every run mode:
     the domain has as many distinct rows as the hook-length (SYT) or
     hook-content (SSYT) formula counts.  A domain lives for one verify
-    shard, at whose end ``group_actions._drop_domains`` empties this cache.
+    shard, at whose end ``_drop_domains`` empties this cache.
     """
     if m is None:
         rows, count = _syt_rows(lam), _syt_count(lam)
@@ -432,18 +452,3 @@ def ssyt_tuple(lam: tuple[int, ...], m: int) -> tuple[Tableau, ...]:
     """The tableaux of SSYT(lam, m), in the order of its domain index."""
     return tuple(map(Tableau, _index(Partition(lam), m)))
 
-
-__all__ = [
-    "Tableau",
-    "Tabloid",
-    "content",
-    "restrict_entries",
-    "dual_reflect",
-    "enumerate_syt",
-    "enumerate_ssyt",
-    "enumerate_tabloids",
-    "permutation_act_tabloid",
-    "syt_tuple",
-    "ssyt_tuple",
-    "conjugate",
-]

@@ -36,6 +36,7 @@ from .shapes import (
 )
 from .tableaux import (
     Tableau,
+    _drop_domains,
     _index,
     _ssyt_count,
     enumerate_tabloids,
@@ -46,7 +47,6 @@ from .group_actions import (
     BKWord,
     CactusWord,
     Word,
-    _drop_domains,
     bk_t_perm,
     chi_translate,
     interval_perm,

@@ -15,11 +15,12 @@ from cactus_tableaux.group_actions import (
     syt_ordering,
     word_perm,
 )
-from cactus_tableaux.gt_patterns import bk_tau, strip_location, to_pattern
+from cactus_tableaux.gt_patterns import GTPattern, bk_tau, strip_location, to_pattern
 from cactus_tableaux.representation import mn_character
 from cactus_tableaux.shapes import (
     Composition,
     Interval,
+    Partition,
     Permutation,
     enumerate_partitions,
 )
@@ -28,6 +29,7 @@ from cactus_tableaux.sliding import (
     evacuation,
     interval_evacuation,
     jdt_all_rectifications,
+    partial_evacuation,
 )
 from cactus_tableaux.tableaux import Tableau, Tabloid, permutation_act_tabloid
 
@@ -137,3 +139,31 @@ def test_guard_refuses_bad_input(monkeypatch, name):
     with pytest.raises(exc) as info:
         call()
     assert fragment in str(info.value)
+
+
+# Each used to be truncated by int() (or kept as given, in Tabloid) and
+# computed on without an error.
+NON_INTEGERS = {
+    "Tableau float entry": lambda: Tableau(((1.9, 2),)),
+    "Tableau string row": lambda: Tableau(("12",)),
+    "Tabloid float entry": lambda: Tabloid((1,), ({1.0},)),
+    "Partition": lambda: Partition((2.0, 1)),
+    "Composition": lambda: Composition((1.5,)),
+    "Permutation": lambda: Permutation((1.0, 2)),
+    "GTPattern": lambda: GTPattern(((1.0,),)),
+    "interval_evacuation": lambda: interval_evacuation(T, (1.5, 3)),
+    "evacuation": lambda: evacuation(T, 3.5),
+    "partial_evacuation": lambda: partial_evacuation(T, 2.5),
+}
+
+
+@pytest.mark.parametrize("name", NON_INTEGERS)
+def test_non_integer_is_refused(name):
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        NON_INTEGERS[name]()
+
+
+def test_bools_are_read_as_integers():
+    assert Tableau(((True, 2),)).rows == ((1, 2),)
+    assert type(Partition((True,))[0]) is int
+    assert Permutation((True,)).images == (1,)

@@ -1,18 +1,21 @@
 """The relation checks and the batch verification driver."""
 
+import importlib
+import inspect
 import io
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import cactus_tableaux
 from cactus_tableaux import verify
 from cactus_tableaux.cli import _emit_summary
 from cactus_tableaux.group_actions import (
-    _DOMAIN_CACHES,
     BKWord,
     CactusWord,
     bk_t_perm,
@@ -25,7 +28,7 @@ from cactus_tableaux.shapes import (
     Permutation,
     enumerate_partitions,
 )
-from cactus_tableaux.tableaux import Tableau, _index, enumerate_ssyt
+from cactus_tableaux.tableaux import _DOMAIN_CACHES, Tableau, _index, enumerate_ssyt
 from cactus_tableaux.verify import (
     ALL_CHECKS,
     HARD_CAP,
@@ -184,6 +187,25 @@ def test_pool_is_never_larger_than_the_shard_count(monkeypatch):
 
 def _cached_domains() -> list[int]:
     return [cache.cache_info().currsize for cache in _DOMAIN_CACHES]
+
+
+def test_every_domain_cache_is_registered():
+    # A cache keyed by a domain's shape outlives its shard unless
+    # _drop_domains clears it; the registry is filled by decoration.
+    caches = {}
+    for info in pkgutil.iter_modules(cactus_tableaux.__path__):
+        module = importlib.import_module(f"cactus_tableaux.{info.name}")
+        for name, obj in vars(module).items():
+            if hasattr(obj, "cache_clear") and obj.__module__ == module.__name__:
+                caches[name] = obj
+    domain = {
+        name
+        for name, cache in caches.items()
+        if next(iter(inspect.signature(cache).parameters)) == "lam"
+    }
+    assert sorted(cache.__name__ for cache in _DOMAIN_CACHES) == sorted(domain)
+    assert all(caches[name] in _DOMAIN_CACHES for name in domain)
+    assert set(caches) - domain == {"_partitions", "_mn", "character_table"}
 
 
 def test_a_run_leaves_no_domain_cached():
