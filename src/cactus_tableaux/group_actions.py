@@ -18,7 +18,6 @@ from .shapes import Interval, Partition, Permutation
 from .sliding import _evacuated, _interval_rows, _promote_rows, _promoted
 from .gt_patterns import _swap_rows, _swapped
 from .tableaux import (
-    Rows,
     Tableau,
     _index,
     _per_domain,
@@ -123,8 +122,7 @@ def parse_cactus_word(text: str, n: int) -> CactusWord:
         m = _CACTUS_TOKEN.match(token)
         if not m:
             raise ValueError(f"malformed cactus token {token!r}")
-        a, b = int(m.group(1)), int(m.group(2))
-        factors.append(Interval(a, b).validate_generator(n))
+        factors.append(Interval(*map(int, m.groups())))
     return CactusWord(n=n, factors=tuple(factors))
 
 
@@ -147,13 +145,6 @@ def parse_word(text: str, n: int) -> Word:
     return parse_bk_word(text, n)
 
 
-def _acted_rows(w: Word, T: Tableau) -> Rows:
-    """The rows of T once T is known to be a straight SSYT over 1..w.n."""
-    if T.max_entry > w.n:
-        raise ValueError(f"tableau alphabet exceeds rank {w.n}")
-    return _straight_ssyt_rows(T, "a group action")
-
-
 def cactus_act(w: CactusWord, T: Tableau) -> Tableau:
     """Apply the word: each c_[a,b] acts by the interval involution.
 
@@ -161,7 +152,7 @@ def cactus_act(w: CactusWord, T: Tableau) -> Tableau:
     ``partial_evacuation`` and c_[a,b] three, as in ``interval_evacuation``;
     each pass is checked.
     """
-    rows = _acted_rows(w, T)
+    rows = _straight_ssyt_rows(T, "a group action", w.n)
     for a, b in reversed(w.factors):
         rows = _evacuated(rows, b) if a == 1 else _interval_rows(rows, a, b)
     return Tableau(rows)
@@ -175,7 +166,7 @@ def bk_act(w: BKWord, T: Tableau) -> Tableau:
     as the partial Schutzenberger involution xi_[1,k+1]; ``pq-promotion``
     checks that rule on whole domains, against t_k built by strip swaps.
     """
-    rows = _acted_rows(w, T)
+    rows = _straight_ssyt_rows(T, "a group action", w.n)
     for kind, k in reversed(w.factors):
         if kind == "t":
             rows = _swapped(rows, k)
@@ -464,12 +455,10 @@ def generator_permutation(
 GROUP_ORDER_CAP = 10**6  # generated_group_order raises RuntimeError past it
 
 
-def generated_group_order(
-    lam: Partition, generators: Iterable[Word], ordering: str = "reading"
-) -> int:
+def generated_group_order(lam: Partition, generators: Iterable[Word]) -> int:
     """Order of the permutation group the words generate on SYT(lam)."""
-    gens = [generator_permutation(lam, g, ordering) for g in generators]
-    degree = len(syt_ordering(lam, ordering))
+    gens = [generator_permutation(lam, g) for g in generators]
+    degree = len(syt_ordering(lam))
     identity = Permutation.identity(degree)
     seen = {identity}
     frontier = [identity]

@@ -96,9 +96,7 @@ class StripRectangle:
 
 def to_pattern(T: Tableau, n: int) -> GTPattern:
     """The pattern whose row j is the shape of T restricted to 1..j."""
-    rows = _straight_ssyt_rows(T, "a GT pattern")
-    if T.max_entry > n:
-        raise ValueError(f"entries exceed {n}")
+    rows = _straight_ssyt_rows(T, "a GT pattern", n)
     # Row r of an SSYT holds no entry below r + 1, so rows[j:] hold none <= j.
     pattern = []
     for j in range(1, n + 1):

@@ -124,9 +124,10 @@ def promotion(T: Tableau, m: int) -> Tableau:
     The whole-alphabet case of :func:`bounded_promotion`: every entry lies
     in the window, so every vacated outer cell is relabelled m.
     """
-    if T.max_entry > m:
-        raise ValueError(f"entries exceed alphabet {m}")
-    return bounded_promotion(T, m)
+    rows = _straight_ssyt_rows(T, "bounded promotion", m)
+    if m < 1:  # only the empty tableau has no entry above m < 1
+        raise ValueError("k must be >= 1")
+    return Tableau(_promoted(rows, m))
 
 
 def bounded_promotion(T: Tableau, k: int) -> Tableau:
@@ -222,9 +223,7 @@ def evacuation(T: Tableau, m: Optional[int] = None) -> Tableau:
     """
     if m is None:
         m = T.max_entry
-    if T.max_entry > m:
-        raise ValueError(f"entries exceed alphabet {m}")
-    return Tableau(_evacuated(_straight_ssyt_rows(T, "evacuation"), m))
+    return Tableau(_evacuated(_straight_ssyt_rows(T, "evacuation", m), m))
 
 
 def partial_evacuation(T: Tableau, k: int) -> Tableau:

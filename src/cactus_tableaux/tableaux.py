@@ -175,12 +175,16 @@ def _rows_semistandard(rows: Rows, inner: tuple[int, ...] = ()) -> bool:
     return True
 
 
-def _straight_ssyt_rows(T: Tableau, what: str) -> Rows:
-    """The rows of T once T is known to be a straight SSYT.
+def _straight_ssyt_rows(T: Tableau, what: str, m: Optional[int] = None) -> Rows:
+    """The rows of T once T is known to be a straight SSYT, over 1..m if m
+    is given.
 
-    The input check of every operation that hands rows to a row kernel;
-    raises ValueError naming the operation otherwise.
+    The one input check of every operation that hands rows to a row kernel.
+    It raises ValueError: first if an entry exceeds m, then, naming the
+    operation, if T is not a straight SSYT.
     """
+    if m is not None and T.max_entry > m:
+        raise ValueError(f"entries exceed alphabet {m}")
     if not T.is_straight:
         raise ValueError(f"{what} requires a straight shape")
     if not T.is_semistandard():
@@ -220,7 +224,7 @@ def restrict_entries(T: Tableau, window: Interval) -> Tableau:
     The result is skew in general: its inner shape is the shape of the
     cells with entries below a (together with T's own inner cells).
     """
-    a, b = Interval(*window).validate_window()
+    a, b = Interval(*map(operator.index, window)).validate_window()
     new_inner = []
     new_rows = []
     for i, row in enumerate(T.rows):

@@ -70,7 +70,7 @@ Job = tuple[int, Shape, str]  # (n, shape, check)
 class RelationReport:
     relation: str
     n: int
-    shape: Optional[tuple[int, ...]]
+    shape: Shape
     status: str  # PASS | FAIL
     counterexample: Optional[dict] = None
 
@@ -78,7 +78,7 @@ class RelationReport:
         obj: dict = {
             "relation": self.relation,
             "n": self.n,
-            "shape": list(self.shape) if self.shape is not None else None,
+            "shape": list(self.shape),
             "status": self.status,
         }
         if self.counterexample is not None:
@@ -467,18 +467,12 @@ def _run_check(job: Job) -> RelationReport:
     return CHECKS[name].run(n, shape)
 
 
-def _run_shard(shard: list[Job]) -> list[RelationReport]:
+def _run_shard(shard: list[Job]) -> list[tuple[Job, RelationReport]]:
     """Run every check of one (n, shape) in this process, then drop its domains."""
     try:
-        return [_run_check(job) for job in shard]
+        return [(job, _run_check(job)) for job in shard]
     finally:
         _drop_domains()
-
-
-def _classify(name: str, shape: Shape, report: RelationReport) -> str:
-    if CHECKS[name].expected(Partition(shape)):
-        return report.status
-    return "EXPECTED-FAIL" if report.status == "FAIL" else "UNEXPECTED-PASS"
 
 
 def batch_verify(config: RunConfig) -> Summary:
@@ -505,20 +499,17 @@ def batch_verify(config: RunConfig) -> Summary:
         # it would still be started at the first submit.
         workers = min(config.workers, len(shards))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(_run_shard, shards))
+            results = list(pool.map(_run_shard, shards))
     else:
-        reports = [_run_shard(shard) for shard in shards]
+        results = map(_run_shard, shards)
 
-    paired = sorted(
-        zip(
-            (job for shard in shards for job in shard),
-            (report for shard in reports for report in shard),
-        ),
-        key=lambda jr: jr[0],
-    )
     summary = Summary()
-    for (n, shape, name), report in paired:
-        status = _classify(name, shape, report)
+    for (n, shape, name), report in sorted(
+        itertools.chain.from_iterable(results), key=lambda pair: pair[0]
+    ):
+        status = report.status
+        if not CHECKS[name].expected(Partition(shape)):
+            status = "EXPECTED-FAIL" if status == "FAIL" else "UNEXPECTED-PASS"
         record = report.to_json()
         record["status"] = status
         summary.records.append(record)

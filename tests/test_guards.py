@@ -30,8 +30,14 @@ from cactus_tableaux.sliding import (
     interval_evacuation,
     jdt_all_rectifications,
     partial_evacuation,
+    promotion,
 )
-from cactus_tableaux.tableaux import Tableau, Tabloid, permutation_act_tabloid
+from cactus_tableaux.tableaux import (
+    Tableau,
+    Tabloid,
+    permutation_act_tabloid,
+    restrict_entries,
+)
 
 T = Tableau(((1, 2), (3,)))
 P = to_pattern(T, 3)
@@ -40,7 +46,11 @@ E3 = CactusWord(3, ())
 GUARDS = {
     "act past the rank": (
         lambda: act(parse_word("t1", 2), T), ValueError,
-        "tableau alphabet exceeds rank 2",
+        "entries exceed alphabet 2",
+    ),
+    "act on a non-semistandard tableau": (
+        lambda: act(parse_word("t1", 3), Tableau(((2, 1),))), ValueError,
+        "a group action requires a semistandard tableau",
     ),
     "pi_k k = 0": (lambda: pi_k_image(E3, 0), ValueError, "k must be in 1..3"),
     "pi_k k > n": (lambda: pi_k_image(E3, 4), ValueError, "k must be in 1..3"),
@@ -65,6 +75,9 @@ GUARDS = {
     "GTPattern.entry row": (lambda: P.entry(1, 4), IndexError, "row 4 out of range"),
     "GTPattern.entry column": (
         lambda: P.entry(0, 2), IndexError, "column 0 out of range",
+    ),
+    "to_pattern past the alphabet": (
+        lambda: to_pattern(T, 2), ValueError, "entries exceed alphabet 2",
     ),
     "bk_tau": (lambda: bk_tau(P, 3), ValueError, "k must be in 1..2"),
     "strip_location level": (
@@ -106,6 +119,9 @@ GUARDS = {
     ),
     "bounded_promotion": (
         lambda: bounded_promotion(T, 0), ValueError, "k must be >= 1",
+    ),
+    "promotion past the alphabet": (
+        lambda: promotion(T, 2), ValueError, "entries exceed alphabet 2",
     ),
     "evacuation": (
         lambda: evacuation(T, 2), ValueError, "entries exceed alphabet 2",
@@ -154,6 +170,7 @@ NON_INTEGERS = {
     "interval_evacuation": lambda: interval_evacuation(T, (1.5, 3)),
     "evacuation": lambda: evacuation(T, 3.5),
     "partial_evacuation": lambda: partial_evacuation(T, 2.5),
+    "restrict_entries": lambda: restrict_entries(T, (1.5, 3)),
 }
 
 
