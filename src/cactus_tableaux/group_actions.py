@@ -15,10 +15,11 @@ from functools import reduce
 from typing import Iterable, Optional, Union
 
 from .shapes import Interval, Partition, Permutation
-from .sliding import _evacuated, _interval_rows, _promote_rows, _promoted
-from .gt_patterns import _swap_rows, _swapped
+from .sliding import _evacuate_rows, _promote_rows
+from .gt_patterns import _swap_rows
 from .tableaux import (
     Tableau,
+    _check_image,
     _index,
     _per_domain,
     _straight_ssyt_rows,
@@ -149,13 +150,14 @@ def cactus_act(w: CactusWord, T: Tableau) -> Tableau:
     """Apply the word: each c_[a,b] acts by the interval involution.
 
     On the rows of T, c_[1,b] is one pass of the evacuation kernel of
-    ``partial_evacuation`` and c_[a,b] three, as in ``interval_evacuation``;
-    each pass is checked.
+    ``partial_evacuation`` and c_[a,b] three, xi_[1,b] xi_[1,b-a+1] xi_[1,b]
+    as in ``interval_evacuation``; each pass is checked.
     """
     rows = _straight_ssyt_rows(T, "a group action", w.n)
     for a, b in reversed(w.factors):
-        rows = _evacuated(rows, b) if a == 1 else _interval_rows(rows, a, b)
-    return Tableau(rows)
+        for k in (b,) if a == 1 else (b, b - a + 1, b):
+            rows = _check_image(rows, _evacuate_rows(rows, k), "evacuation")
+    return Tableau._unchecked(rows)
 
 
 def bk_act(w: BKWord, T: Tableau) -> Tableau:
@@ -169,12 +171,13 @@ def bk_act(w: BKWord, T: Tableau) -> Tableau:
     rows = _straight_ssyt_rows(T, "a group action", w.n)
     for kind, k in reversed(w.factors):
         if kind == "t":
-            rows = _swapped(rows, k)
+            image, what = _swap_rows(rows, k), "strip swap"
         elif kind == "p":
-            rows = _promoted(rows, k + 1)
+            image, what = _promote_rows(rows, k + 1), "bounded promotion"
         else:
-            rows = _evacuated(rows, k + 1)
-    return Tableau(rows)
+            image, what = _evacuate_rows(rows, k + 1), "evacuation"
+        rows = _check_image(rows, image, what)
+    return Tableau._unchecked(rows)
 
 
 def act(w: Word, T: Tableau) -> Tableau:

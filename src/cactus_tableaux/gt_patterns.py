@@ -190,6 +190,7 @@ def strip_decomposition(
     The bound k-boxes of a row and the (k+1)-boxes below them form one
     rectangle.
     """
+    k = operator.index(k)
     if k < 1:
         raise ValueError("k must be >= 1")
     rows = _straight_ssyt_rows(T, "strip decomposition")
@@ -215,9 +216,11 @@ def strip_swap(T: Tableau, k: int) -> Tableau:
     input is checked once, :func:`_swap_rows` does the work and its
     post-condition is checked in every run mode.
     """
+    k = operator.index(k)
     if k < 1:
         raise ValueError("k must be >= 1")
-    return Tableau(_swapped(_straight_ssyt_rows(T, "strip swap"), k))
+    rows = _straight_ssyt_rows(T, "strip swap")
+    return Tableau._unchecked(_check_image(rows, _swap_rows(rows, k), "strip swap"))
 
 
 def _swap_rows(rows: Rows, k: int) -> Rows:
@@ -233,9 +236,4 @@ def _swap_rows(rows: Rows, k: int) -> Rows:
             row = rows[r]
             out[r] = row[:fl] + (k,) * high + (k + 1,) * low + row[fh:]
     return tuple(out)
-
-
-def _swapped(rows: Rows, k: int) -> Rows:
-    """t_k on rows, with its post-condition."""
-    return _check_image(rows, _swap_rows(rows, k), "strip swap")
 

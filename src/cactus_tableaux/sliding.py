@@ -124,10 +124,13 @@ def promotion(T: Tableau, m: int) -> Tableau:
     The whole-alphabet case of :func:`bounded_promotion`: every entry lies
     in the window, so every vacated outer cell is relabelled m.
     """
+    m = operator.index(m)
     rows = _straight_ssyt_rows(T, "bounded promotion", m)
     if m < 1:  # only the empty tableau has no entry above m < 1
         raise ValueError("k must be >= 1")
-    return Tableau(_promoted(rows, m))
+    return Tableau._unchecked(
+        _check_image(rows, _promote_rows(rows, m), "bounded promotion")
+    )
 
 
 def bounded_promotion(T: Tableau, k: int) -> Tableau:
@@ -137,9 +140,13 @@ def bounded_promotion(T: Tableau, k: int) -> Tableau:
     is the whole tableau.  The input is checked once, :func:`_promote_rows`
     does the work and its post-condition is checked in every run mode.
     """
+    k = operator.index(k)
     if k < 1:
         raise ValueError("k must be >= 1")
-    return Tableau(_promoted(_straight_ssyt_rows(T, "bounded promotion"), k))
+    rows = _straight_ssyt_rows(T, "bounded promotion")
+    return Tableau._unchecked(
+        _check_image(rows, _promote_rows(rows, k), "bounded promotion")
+    )
 
 
 def _promote_rows(rows: Rows, k: int) -> Rows:
@@ -166,11 +173,6 @@ def _promote_rows(rows: Rows, k: int) -> Rows:
     for r, c in vacated:
         out[r][c] = k
     return tuple(map(tuple, out))
-
-
-def _promoted(rows: Rows, k: int) -> Rows:
-    """pr_k on rows, with its post-condition."""
-    return _check_image(rows, _promote_rows(rows, k), "bounded promotion")
 
 
 def _evacuate_rows(rows: Rows, k: int) -> Rows:
@@ -203,27 +205,15 @@ def _evacuate_rows(rows: Rows, k: int) -> Rows:
     return rebuilt + rows[len(P) :]
 
 
-def _evacuated(rows: Rows, k: int) -> Rows:
-    """xi_[1,k] on rows, with its post-condition."""
-    return _check_image(rows, _evacuate_rows(rows, k), "evacuation")
-
-
-def _interval_rows(rows: Rows, a: int, b: int) -> Rows:
-    """xi_[a,b] on rows, by its definition xi_[1,b] xi_[1,b-a+1] xi_[1,b]."""
-    for k in (b, b - a + 1, b):
-        rows = _evacuated(rows, k)
-    return rows
-
-
 def evacuation(T: Tableau, m: Optional[int] = None) -> Tableau:
     """The Schutzenberger involution on alphabet 1..m.
 
     Computed in one pass of row insertions, :func:`_evacuate_rows` with
     window m; m defaults to the largest entry present.
     """
-    if m is None:
-        m = T.max_entry
-    return Tableau(_evacuated(_straight_ssyt_rows(T, "evacuation", m), m))
+    m = T.max_entry if m is None else operator.index(m)
+    rows = _straight_ssyt_rows(T, "evacuation", m)
+    return Tableau._unchecked(_check_image(rows, _evacuate_rows(rows, m), "evacuation"))
 
 
 def partial_evacuation(T: Tableau, k: int) -> Tableau:
@@ -231,16 +221,22 @@ def partial_evacuation(T: Tableau, k: int) -> Tableau:
 
     One pass of :func:`_evacuate_rows`; the entries > k stay where they are.
     """
+    k = operator.index(k)
     if k < 2:
         raise ValueError("partial evacuation needs k >= 2")
-    return Tableau(_evacuated(_straight_ssyt_rows(T, "partial evacuation"), k))
+    rows = _straight_ssyt_rows(T, "partial evacuation")
+    return Tableau._unchecked(_check_image(rows, _evacuate_rows(rows, k), "evacuation"))
 
 
 def interval_evacuation(T: Tableau, J: Interval) -> Tableau:
-    """The interval involution: xi[1,b] then xi[1,b-a+1] then xi[1,b]."""
+    """The interval involution: xi[1,b] then xi[1,b-a+1] then xi[1,b].
+
+    Three checked passes of :func:`_evacuate_rows`, by the definition.
+    """
     a, b = Interval(*map(operator.index, J))
     if not 1 <= a < b:
         raise ValueError(f"invalid interval [{a},{b}]")
     rows = _straight_ssyt_rows(T, "interval evacuation")
-    return Tableau(_interval_rows(rows, a, b))
-
+    for k in (b, b - a + 1, b):
+        rows = _check_image(rows, _evacuate_rows(rows, k), "evacuation")
+    return Tableau._unchecked(rows)

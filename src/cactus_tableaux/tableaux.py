@@ -45,6 +45,20 @@ class Tableau:
                 bad = next(e for e in row if e < 1)
                 raise ValueError(f"entries must be positive, got {bad}")
 
+    @classmethod
+    def _unchecked(cls, rows: Rows) -> "Tableau":
+        """Wrap the rows of a straight SSYT already known to be valid.
+
+        For a kernel's image only, once ``_check_image`` has accepted it as
+        the image of a validated straight input: its rows then hold exact
+        ints, end in no empty row and fill a partition semistandardly.
+        Every other tableau goes through ``__post_init__``.
+        """
+        T = object.__new__(cls)
+        object.__setattr__(T, "rows", rows)
+        object.__setattr__(T, "inner", ())
+        return T
+
     @property
     def outer(self) -> Partition:
         inner = self.inner + (0,) * (len(self.rows) - len(self.inner))
@@ -63,7 +77,7 @@ class Tableau:
 
     @property
     def max_entry(self) -> int:
-        return max((e for row in self.rows for e in row), default=0)
+        return max(map(max, filter(None, self.rows)), default=0)
 
     def entry(self, r: int, c: int) -> Optional[int]:
         """Entry at 0-based (r, c), or None if the cell is absent."""
@@ -159,8 +173,9 @@ def _rows_semistandard(rows: Rows, inner: tuple[int, ...] = ()) -> bool:
     """
     above: tuple[int, ...] = ()
     above_off = above_end = 0
+    depth = len(inner)
     for r, row in enumerate(rows):
-        off = inner[r] if r < len(inner) else 0
+        off = inner[r] if r < depth else 0
         end = off + len(row)
         if r and end > above_end:
             return False
@@ -169,7 +184,8 @@ def _rows_semistandard(rows: Rows, inner: tuple[int, ...] = ()) -> bool:
         if not all(map(operator.le, row, row[1:])):
             return False
         # Column c is above[c - above_off] over row[c - off]; above_off >= off.
-        if not all(map(operator.lt, above, row[above_off - off :])):
+        below = row if off == above_off else row[above_off - off :]
+        if not all(map(operator.lt, above, below)):
             return False
         above, above_off, above_end = row, off, end
     return True
@@ -183,13 +199,14 @@ def _straight_ssyt_rows(T: Tableau, what: str, m: Optional[int] = None) -> Rows:
     It raises ValueError: first if an entry exceeds m, then, naming the
     operation, if T is not a straight SSYT.
     """
+    rows = T.rows
     if m is not None and T.max_entry > m:
         raise ValueError(f"entries exceed alphabet {m}")
-    if not T.is_straight:
+    if T.inner:
         raise ValueError(f"{what} requires a straight shape")
-    if not T.is_semistandard():
+    if not _rows_semistandard(rows):
         raise ValueError(f"{what} requires a semistandard tableau")
-    return T.rows
+    return rows
 
 
 def _check_image(before: Rows, after: Rows, what: str) -> Rows:
@@ -198,10 +215,10 @@ def _check_image(before: Rows, after: Rows, what: str) -> Rows:
 
     A kernel's post-condition.  It raises AssertionError explicitly, so it
     holds under ``python -O`` too, and a broken invariant is not mistaken
-    for malformed input.
+    for malformed input.  With ``before`` a validated straight SSYT, an
+    accepted image may become a ``Tableau`` through ``Tableau._unchecked``.
     """
-    same_shape = list(map(len, after)) == list(map(len, before))
-    if not (same_shape and _rows_semistandard(after)):
+    if not ([*map(len, after)] == [*map(len, before)] and _rows_semistandard(after)):
         raise AssertionError(f"{what} of {before} is not an SSYT of its shape: {after}")
     return after
 

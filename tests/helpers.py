@@ -4,7 +4,8 @@ Nothing here calls into the character or evacuation code paths it is used
 to check: Kostka numbers are counted by horizontal-strip chains,
 permutation-module characters by distributing cycles into rows,
 evacuation by the rotate-complement-rectify construction and by the chain
-of bounded promotions, and bounded promotion by rectifying a skew tableau.
+of bounded promotions, bounded promotion by rectifying a skew tableau, and
+semistandardness cell by cell.
 """
 
 from __future__ import annotations
@@ -175,6 +176,33 @@ def promotion_oracle(T: Tableau, k: int) -> Tableau:
         filled = (k,) * (len(window[r]) - len(kept))
         rows.append(kept + filled + row[len(window[r]):])
     return Tableau(rows=tuple(rows))
+
+
+# ---------------------------------------------------------------------------
+# Semistandardness cell by cell.
+
+
+def semistandard_oracle(rows, inner=()) -> bool:
+    """Whether rows, row r starting in column inner[r] (0 past the end of
+    inner), fill a skew shape semistandardly, cell by cell: the row ends
+    weakly decrease, every entry is positive, and each cell is at most its
+    east neighbour and below its south neighbour."""
+    offsets = [inner[r] if r < len(inner) else 0 for r in range(len(rows))]
+    ends = [off + len(row) for off, row in zip(offsets, rows)]
+    if any(ends[r + 1] > ends[r] for r in range(len(ends) - 1)):
+        return False
+    cells = {
+        (r, off + i): e
+        for r, (off, row) in enumerate(zip(offsets, rows))
+        for i, e in enumerate(row)
+    }
+    for (r, c), e in cells.items():
+        east, south = cells.get((r, c + 1)), cells.get((r + 1, c))
+        if e < 1 or (east is not None and east < e):
+            return False
+        if south is not None and south <= e:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,14 @@ from cactus_tableaux.group_actions import (
     syt_ordering,
     word_perm,
 )
-from cactus_tableaux.gt_patterns import GTPattern, bk_tau, strip_location, to_pattern
+from cactus_tableaux.gt_patterns import (
+    GTPattern,
+    bk_tau,
+    strip_decomposition,
+    strip_location,
+    strip_swap,
+    to_pattern,
+)
 from cactus_tableaux.representation import mn_character
 from cactus_tableaux.shapes import (
     Composition,
@@ -170,6 +177,10 @@ NON_INTEGERS = {
     "interval_evacuation": lambda: interval_evacuation(T, (1.5, 3)),
     "evacuation": lambda: evacuation(T, 3.5),
     "partial_evacuation": lambda: partial_evacuation(T, 2.5),
+    "promotion": lambda: promotion(T, 3.0),
+    "bounded_promotion": lambda: bounded_promotion(T, 2.5),
+    "strip_swap": lambda: strip_swap(T, 1.5),
+    "strip_decomposition": lambda: strip_decomposition(T, 1.5),
     "restrict_entries": lambda: restrict_entries(T, (1.5, 3)),
 }
 
@@ -184,3 +195,10 @@ def test_bools_are_read_as_integers():
     assert Tableau(((True, 2),)).rows == ((1, 2),)
     assert type(Partition((True,))[0]) is int
     assert Permutation((True,)).images == (1,)
+    # A window is written into the result's rows, which are not re-validated.
+    for out in (
+        bounded_promotion(T, True),
+        strip_swap(T, True),
+        act(CactusWord(3, ((True, 3),)), T),
+    ):
+        assert all(type(e) is int for row in out.rows for e in row)

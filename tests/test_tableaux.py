@@ -23,11 +23,13 @@ from cactus_tableaux.tableaux import (
     enumerate_tabloids,
     permutation_act_tabloid,
     restrict_entries,
+    _rows_semistandard,
 )
 
-from helpers import subpartitions
+from helpers import semistandard_oracle, subpartitions
 
 PAPER_T = Tableau(((1, 1, 2, 3), (2, 2, 3), (4, 4), (5,)))
+ROW = st.lists(st.integers(-1, 6), max_size=4)
 
 
 def _reference_error(rows, inner):
@@ -149,6 +151,22 @@ class TestTableau:
                         assert T.is_semistandard() == by_cells(T), T
                         seen.add(T.is_semistandard())
         assert seen == {True, False}
+
+    @settings(max_examples=500)
+    @given(
+        st.lists(ROW.map(sorted) | ROW, max_size=4),
+        st.lists(st.integers(0, 3), max_size=4),
+    )
+    def test_predicate_matches_cellwise_oracle(self, rows, inner):
+        """The one semistandard predicate against the cell-by-cell oracle, on
+        raw rows: empty rows, entries <= 0 and outer shapes that are not
+        partitions included.  The inner shape is a partition, as every
+        caller's is.  Rows are often sorted, so that about a third of the
+        fillings are semistandard."""
+        rows = tuple(map(tuple, rows))
+        inner = tuple(sorted(inner, reverse=True))
+        assert _rows_semistandard(rows, inner) == semistandard_oracle(rows, inner)
+        assert _rows_semistandard(rows) == semistandard_oracle(rows)
 
     def test_entry_is_zero_based_with_inner_offset(self):
         skew = Tableau(rows=((2,), (1, 3)), inner=(1,))
