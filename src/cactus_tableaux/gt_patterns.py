@@ -146,6 +146,7 @@ def bk_tau(P: GTPattern, k: int) -> GTPattern:
 
 def strip_location(P: GTPattern, i: int, k: int) -> Strip:
     """The strip in tableau row i at level k, read off the pattern."""
+    i, k = operator.index(i), operator.index(k)
     if not 1 <= k <= P.n - 1:
         raise ValueError(f"k must be in 1..{P.n - 1}")
     if not 1 <= i <= k:

@@ -24,7 +24,7 @@ from .shapes import (
 from .tableaux import (
     Tableau,
     Tabloid,
-    _ssyt_rows,
+    _content_rows,
     _syt_count,
     dual_reflect,
     syt_tuple,
@@ -71,7 +71,7 @@ def kostka_number(mu: Partition, nu: Composition) -> int:
     nu = Composition(nu)
     if mu.size != nu.size:
         raise ValueError(f"|{mu}| != |{nu}|")
-    return len(_ssyt_rows(mu, max(len(nu), 1), nu))
+    return len(_content_rows(mu, nu))
 
 
 def _beta(mu: Partition) -> tuple[int, ...]:

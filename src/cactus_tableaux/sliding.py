@@ -231,12 +231,12 @@ def partial_evacuation(T: Tableau, k: int) -> Tableau:
 def interval_evacuation(T: Tableau, J: Interval) -> Tableau:
     """The interval involution: xi[1,b] then xi[1,b-a+1] then xi[1,b].
 
-    Three checked passes of :func:`_evacuate_rows`, by the definition.
+    Checked passes of :func:`_evacuate_rows`: three, or one if a = 1, as xi^2 = 1.
     """
     a, b = Interval(*map(operator.index, J))
     if not 1 <= a < b:
         raise ValueError(f"invalid interval [{a},{b}]")
     rows = _straight_ssyt_rows(T, "interval evacuation")
-    for k in (b, b - a + 1, b):
+    for k in (b,) if a == 1 else (b, b - a + 1, b):
         rows = _check_image(rows, _evacuate_rows(rows, k), "evacuation")
     return Tableau._unchecked(rows)

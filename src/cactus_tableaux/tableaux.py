@@ -266,60 +266,61 @@ def dual_reflect(T: Tableau) -> Tableau:
     return Tableau(rows=tuple(cols))
 
 
-def _syt_rows(lam: tuple[int, ...]) -> list[Rows]:
-    """The rows of every standard tableau of straight shape lam.
+def _content_rows(lam: tuple[int, ...], counts: tuple[int, ...]) -> list[Rows]:
+    """The rows of every SSYT of straight shape lam in which value i occurs
+    counts[i - 1] times; with counts (1^n), of every standard tableau.
 
-    Order: lexicographic on the row-reading word.  Every tableau of one
-    shape has rows of the same lengths, so sorting the row tuples sorts
-    the reading words.
+    The entries are placed in increasing order, each at the end of a row
+    shorter than its part and than the row above.  Each copy of a value
+    goes in a row at or above the previous copy, so each horizontal strip
+    is built once and the cell above a copy holds a smaller value.  Sorting
+    the row tuples, all of one shape, orders them by row-reading word.
     """
-    n = sum(lam)
+    n, depth = sum(lam), len(lam)
+    if sum(counts) != n or depth > len(counts):
+        return []  # another size, or a column longer than the alphabet
+    values = [v for v, c in enumerate(counts, 1) for _ in range(c)] + [0]
     rows: list[list[int]] = [[] for _ in lam]
+    # spans[d]: (r, row, part) for each of the top d rows.
+    spans = [[*zip(range(d), rows, lam)] for d in range(depth + 1)]
     out: list[Rows] = []
 
-    def place(value: int) -> None:
-        if value > n:
+    def place(i: int, top_rows: int) -> None:
+        if i == n:
             out.append(tuple(map(tuple, rows)))
             return
+        value = values[i]
+        repeat = values[i + 1] == value
         above = n  # the length of the row above; row 0 has none
-        for row, length in zip(rows, lam):
+        for r, row, length in spans[top_rows]:
             c = len(row)
             if c < length and c < above:
                 row.append(value)
-                place(value + 1)
+                place(i + 1, r + 1 if repeat else depth)
                 row.pop()
             above = c
 
-    place(1)
+    place(0, depth)
     out.sort()
     return out
 
 
-def _ssyt_rows(
-    lam: tuple[int, ...], m: int, counts: Optional[tuple[int, ...]] = None
-) -> list[Rows]:
+def _ssyt_rows(lam: tuple[int, ...], m: int) -> list[Rows]:
     """The rows of every semistandard tableau of straight shape lam over 1..m.
 
     Order: lexicographic on the row-reading word, as the cells are filled
-    in reading order with each entry tried in increasing order.  With
-    ``counts`` only fillings that use value i exactly counts[i - 1] times
-    are kept (a value past the end of ``counts`` is not used).  A cell gets
+    in reading order with each entry tried in increasing order.  A cell gets
     no entry that would leave too few values for the column below it, so
-    without ``counts`` every partial filling extends.
+    every partial filling extends, and a column longer than m gets none.
     """
     if m < 1:
         raise ValueError("alphabet size must be >= 1")
-    if len(lam) > m or (counts is not None and sum(counts) != sum(lam)):
-        # A column longer than m cannot increase strictly within 1..m, and
-        # a content of another size fills no tableau.
-        return []
     cols = conjugate(Partition._unchecked(lam))
     cells = [(r, c) for r, length in enumerate(lam) for c in range(length)]
     # The largest entry of each cell: the column below it needs distinct
     # larger values.
     top = [m - cols[c] + r + 1 for r, c in cells]
     rows: list[list[int]] = [[] for _ in lam]
-    remaining = list(counts) + [0] * m if counts is not None else None
     out: list[Rows] = []
 
     def fill(i: int) -> None:
@@ -332,15 +333,9 @@ def _ssyt_rows(
         if r and rows[r - 1][c] >= lo:
             lo = rows[r - 1][c] + 1
         for e in range(lo, top[i] + 1):
-            if remaining is not None:
-                if not remaining[e - 1]:
-                    continue
-                remaining[e - 1] -= 1
             row.append(e)
             fill(i + 1)
             row.pop()
-            if remaining is not None:
-                remaining[e - 1] += 1
 
     fill(0)
     return out
@@ -390,16 +385,16 @@ def _drop_domains() -> None:
 def _index(lam: tuple[int, ...], m: Optional[int]) -> dict[Rows, int]:
     """Positions in the domain (lam, m), keyed by the rows of each tableau.
 
-    The domain is SSYT(lam, m), or SYT(lam) if m is None, in the order of
-    the row enumerators.  This is the one cached copy of a domain: the
-    tableau tuples, the induced permutations and the counterexamples all
+    The domain is SSYT(lam, m) from ``_ssyt_rows``, or SYT(lam) from
+    ``_content_rows`` if m is None.  This is the one cached copy of a domain:
+    the tableau tuples, the induced permutations and the counterexamples all
     read positions from it.  Its post-condition, checked in every run mode:
     the domain has as many distinct rows as the hook-length (SYT) or
     hook-content (SSYT) formula counts.  A domain lives for one verify
     shard, at whose end ``_drop_domains`` empties this cache.
     """
     if m is None:
-        rows, count = _syt_rows(lam), _syt_count(lam)
+        rows, count = _content_rows(lam, (1,) * sum(lam)), _syt_count(lam)
     else:
         rows, count = _ssyt_rows(lam, m), _ssyt_count(lam, m)
     index = {key: i for i, key in enumerate(rows)}
@@ -416,7 +411,8 @@ def enumerate_syt(lam: Partition) -> list[Tableau]:
 
     Order: lexicographic on the row-reading word.
     """
-    return [Tableau(rows) for rows in _syt_rows(Partition(lam))]
+    lam = Partition(lam)
+    return [Tableau(rows) for rows in _content_rows(lam, (1,) * lam.size)]
 
 
 def enumerate_ssyt(
@@ -425,12 +421,15 @@ def enumerate_ssyt(
     """All semistandard tableaux of straight shape lam with entries <= m.
 
     Order: lexicographic on the row-reading word.  With ``content_filter``
-    only fillings of that exact content are returned.
+    only the fillings of that content are listed, through ``_content_rows``.
     """
-    if content_filter is not None:
-        content_filter = Composition(content_filter)
-    rows = _ssyt_rows(Partition(lam), m, content_filter)
-    return [Tableau(filling) for filling in rows]
+    lam = Partition(lam)
+    if content_filter is None:
+        return [Tableau(rows) for rows in _ssyt_rows(lam, m)]
+    if m < 1:
+        raise ValueError("alphabet size must be >= 1")
+    nu = Composition(content_filter)
+    return [] if any(nu[m:]) else [Tableau(rows) for rows in _content_rows(lam, nu)]
 
 
 def enumerate_tabloids(mu: Composition) -> list[Tabloid]:

@@ -503,7 +503,7 @@ class TestDomainIndex:
                 ]
 
     @pytest.mark.parametrize(
-        "name, lam, m", [("_syt_rows", (3, 1), None), ("_ssyt_rows", (2, 1), 3)]
+        "name, lam, m", [("_content_rows", (3, 1), None), ("_ssyt_rows", (2, 1), 3)]
     )
     def test_domain_count_post_condition(self, monkeypatch, name, lam, m):
         enumerate_rows = getattr(tableaux, name)
@@ -574,12 +574,12 @@ def syt_rule_on_a_corrupted_domain():
 
 
 def domain_without_its_first_tableau():
-    rows = tableaux._syt_rows
-    tableaux._syt_rows = lambda lam: rows(lam)[1:]
+    rows = tableaux._content_rows
+    tableaux._content_rows = lambda lam, counts: rows(lam, counts)[1:]
     try:
         tableaux._index.__wrapped__((3, 1), None)
     finally:
-        tableaux._syt_rows = rows
+        tableaux._content_rows = rows
 
 
 T = Tableau(((1, 2), (3,)))

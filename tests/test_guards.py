@@ -182,6 +182,8 @@ NON_INTEGERS = {
     "strip_swap": lambda: strip_swap(T, 1.5),
     "strip_decomposition": lambda: strip_decomposition(T, 1.5),
     "restrict_entries": lambda: restrict_entries(T, (1.5, 3)),
+    "strip_location level": lambda: strip_location(P, 1, 1.5),
+    "strip_location row": lambda: strip_location(P, 1.0, 1),
 }
 
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from cactus_tableaux import sliding
 from cactus_tableaux.shapes import Interval, Partition
 from cactus_tableaux.sliding import (
     _evacuate_rows,
@@ -249,3 +250,20 @@ class TestPartialAndIntervalEvacuation:
     def test_full_interval_is_evacuation(self):
         for T in enumerate_ssyt(Partition((2, 1)), 3):
             assert interval_evacuation(T, Interval(1, 3)) == evacuation(T, 3)
+
+    def test_interval_from_one_is_one_pass(self, monkeypatch):
+        # xi[1,b] is an involution, so xi[1,b] xi[1,b] xi[1,b] is one pass.
+        passes = []
+        kernel = sliding._evacuate_rows
+
+        def counted(rows, k):
+            passes.append(k)
+            return kernel(rows, k)
+
+        monkeypatch.setattr(sliding, "_evacuate_rows", counted)
+        for T, m in ssyt_sweep(5, 5):
+            for b in range(2, m + 1):
+                passes.clear()
+                direct = interval_evacuation(T, Interval(1, b))
+                assert passes == [b]
+                assert direct == partial_evacuation(T, b)

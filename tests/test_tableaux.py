@@ -23,7 +23,9 @@ from cactus_tableaux.tableaux import (
     enumerate_tabloids,
     permutation_act_tabloid,
     restrict_entries,
+    _content_rows,
     _rows_semistandard,
+    _ssyt_rows,
 )
 
 from helpers import semistandard_oracle, subpartitions
@@ -223,6 +225,39 @@ class TestEnumeration:
     def test_ssyt_content_filter(self):
         only = enumerate_ssyt(Partition((3, 1)), 2, Composition((2, 2)))
         assert only == [Tableau(((1, 1, 2), (2,)))]
+
+    def test_content_edge_cases(self):
+        with pytest.raises(ValueError, match="alphabet size must be >= 1"):
+            enumerate_ssyt(Partition((1,)), 0, Composition((1,)))
+        # More rows than m: no column of three cells increases within 1..2.
+        assert enumerate_ssyt(Partition((1, 1, 1)), 2, Composition((2, 1))) == []
+        # A nonzero part past m; a zero part there is allowed.
+        assert enumerate_ssyt(Partition((2, 1)), 2, Composition((1, 1, 1))) == []
+        assert enumerate_ssyt(Partition((2, 1)), 2, Composition((2, 1, 0))) == [
+            Tableau(((1, 1), (2,)))
+        ]
+        # A content of another size.
+        assert enumerate_ssyt(Partition((2, 1)), 3, Composition((1, 1))) == []
+        assert enumerate_ssyt(Partition((2, 1)), 3, Composition((2, 1, 1))) == []
+
+    def test_content_rows_equal_the_filtered_domain(self):
+        # The fixed-content filler against the whole-domain filler: for every
+        # content nu of |lam| with m parts, the same rows in the same order.
+        for n in range(7):
+            for lam in map(tuple, enumerate_partitions(n)):
+                for m in range(1, 7):
+                    by_content: dict = {}
+                    for rows in _ssyt_rows(lam, m):
+                        nu = tuple(
+                            sum(row.count(v) for row in rows) for v in range(1, m + 1)
+                        )
+                        by_content.setdefault(nu, []).append(rows)
+                    for cuts in itertools.combinations_with_replacement(
+                        range(n + 1), m - 1
+                    ):
+                        nu = tuple(map(operator.sub, cuts + (n,), (0,) + cuts))
+                        expected = by_content.get(nu, [])
+                        assert _content_rows(lam, nu) == expected, (lam, nu)
 
     def test_paper_tableau_enumerated(self):
         assert PAPER_T in enumerate_ssyt(Partition((4, 3, 2, 1)), 5)
