@@ -165,14 +165,19 @@ def _free_spans(rows: Rows, k: int) -> Iterator[tuple[int, int, int, int, int]]:
     a (k+1)-box when a k-box sits directly above it.  Column strictness
     makes the bound k-boxes a prefix lo..fl-1 of their block and the bound
     (k+1)-boxes a suffix fh..hi-1 of theirs, so the free boxes are the one
-    span fl..fh-1: k's up to mid, then (k+1)'s.  Only rows 0..k can hold
-    k + 1.
+    span fl..fh-1: k's up to mid, then (k+1)'s.  Column strictness also
+    makes the rows' first entries increase, so once a row starts above
+    k + 1, no row from there down holds k or k + 1: the blocks stop at the
+    first such row, which is row k + 1 at the latest.
     """
     k1 = k + 1
-    blocks = [
-        (bisect_left(row, k), bisect_left(row, k1), bisect_right(row, k1))
-        for row in rows[:k1]
-    ]
+    blocks = []
+    for row in rows:
+        if row[0] > k1:
+            break
+        blocks.append(
+            (bisect_left(row, k), bisect_left(row, k1), bisect_right(row, k1))
+        )
     for r, (lo, mid, hi) in enumerate(blocks):
         if lo == hi:
             continue

@@ -152,27 +152,33 @@ def bounded_promotion(T: Tableau, k: int) -> Tableau:
 def _promote_rows(rows: Rows, k: int) -> Rows:
     """The bounded-promotion kernel on the rows of a straight SSYT; no checks.
 
-    One jeu-de-taquin pass: the cells with entries 2..k (found in rows
-    0..k-1 only) form the grid, and cells with larger entries stay out of
-    it, so no hole slides through them.  The 1s, a prefix of row 0, become
-    holes that slide out rightmost first, each the only removable inner
-    corner when it moves.  Only then do the surviving entries drop by one
-    and the vacated cells take k.
+    One jeu-de-taquin pass: the cells with entries 2..k form the grid, and
+    cells with larger entries stay out of it, so no hole slides through
+    them.  Columns strictly increase, so the first entries of the rows do
+    too: once a row starts above k, so does every row below, and the grid
+    stops there; within a row it stops at the first entry above k.  Only
+    the window rows are rebuilt.  The 1s, a prefix of row 0, become holes
+    that slide out rightmost first, each the only removable inner corner
+    when it moves.  Only then do the surviving entries drop by one and the
+    vacated cells take k.
     """
-    grid = {
-        (r, c): e
-        for r, row in enumerate(rows[:k])
-        for c, e in enumerate(row)
-        if 1 < e <= k
-    }
-    ones = rows[0].count(1) if rows else 0
+    grid: dict[Cell, int] = {}
+    depth = 0  # the number of rows holding an entry <= k
+    for row in rows:
+        cut = bisect_right(row, k)
+        if not cut:
+            break
+        for c in range(bisect_right(row, 1), cut):
+            grid[depth, c] = row[c]
+        depth += 1
+    ones = bisect_right(rows[0], 1) if rows else 0
     vacated = [_slide_hole(grid, (0, c)) for c in reversed(range(ones))]
-    out = [list(row) for row in rows]
+    out = [list(row) for row in rows[:depth]]
     for (r, c), e in grid.items():
         out[r][c] = e - 1
     for r, c in vacated:
         out[r][c] = k
-    return tuple(map(tuple, out))
+    return tuple(map(tuple, out)) + rows[depth:]
 
 
 def _evacuate_rows(rows: Rows, k: int) -> Rows:
@@ -184,15 +190,22 @@ def _evacuate_rows(rows: Rows, k: int) -> Rows:
     entry x complemented to k+1-x (Schutzenberger).  That rectification is
     the insertion tableau of the rotated word: the window read top row
     first, each row right to left, complemented, and row-inserted into P.
-    The rows are rebuilt as P's rows followed by the entries > k, which
-    stay in place.  A P of the wrong shape changes some row's length, as P
-    holds as many entries as the window.
+    Columns strictly increase, so once a row holds no entry <= k, neither
+    does any row below: the reading stops at the first such row.  The
+    window rows are rebuilt as P's rows followed by the entries > k, which
+    stay in place; the rows below are kept as they are.  A P of the wrong
+    shape changes some row's length, as P holds as many entries as the
+    window.
     """
-    cuts = [bisect_right(row, k) for row in rows]
     P: list[list[int]] = []
-    for row, cut in zip(rows, cuts):
-        for i in range(cut - 1, -1, -1):
-            x = k + 1 - row[i]
+    cuts = []
+    for row in rows:
+        cut = bisect_right(row, k)
+        if not cut:
+            break
+        cuts.append(cut)
+        for x in reversed(row[:cut]):
+            x = k + 1 - x
             for prow in P:
                 j = bisect_right(prow, x)
                 if j == len(prow):

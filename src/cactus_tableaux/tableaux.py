@@ -169,8 +169,26 @@ def _rows_semistandard(rows: Rows, inner: tuple[int, ...] = ()) -> bool:
     default is a straight shape).  True when the outer shape is a partition,
     every entry is positive, rows weakly increase and columns strictly
     increase.  This is the one semistandard predicate: ``is_semistandard``
-    and the post-conditions of the row kernels both call it.
+    and the post-conditions of the row kernels both call it.  The kernels
+    stop at the last row their window reaches; the post-condition still
+    reads every row of every image.
+
+    A straight shape needs no column offsets, and its smallest entry is
+    ``rows[0][0]``: rows weakly increase and each entry lies below a smaller
+    one, so that one entry is the positivity test.
     """
+    if not inner:
+        it = iter(rows)
+        above = next(it, ())
+        if above and above[0] < 1 or not all(map(operator.le, above, above[1:])):
+            return False
+        for row in it:
+            if len(row) > len(above) or not all(map(operator.le, row, row[1:])):
+                return False
+            if not all(map(operator.lt, above, row)):
+                return False
+            above = row
+        return True
     above: tuple[int, ...] = ()
     above_off = above_end = 0
     depth = len(inner)

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cactus_tableaux import tableaux
+from cactus_tableaux import group_actions, tableaux
 from cactus_tableaux.group_actions import (
     _atom_perm,
     _induced_perm,
@@ -195,6 +195,67 @@ class TestActions:
         v = CactusWord(n, tuple(data.draw(st.lists(st.sampled_from(intervals), max_size=3))))
         T = data.draw(st.sampled_from(enumerate_ssyt(Partition((2, 1)), n)))
         assert cactus_act(u * v, T) == cactus_act(u, cactus_act(v, T))
+
+    @pytest.mark.parametrize(
+        "text, passes",
+        [
+            ("c[2,4] c[2,4]", "E4 E3 E4 E4 E3 E4"),
+            ("c[1,3] c[1,3]", "E3 E3"),
+            ("c[1,5]", "E5"),
+            ("c[3,5] c[1,2] c[2,5]", "E5 E4 E5 E2 E5 E3 E5"),
+            ("t2 t2", "S2 S2"),
+            ("p2 p2", "P3 P3"),
+            ("q3 q3", "E4 E4"),
+            ("t1 p4 q2 t4", "S4 E3 P5 S1"),
+        ],
+    )
+    def test_each_factor_is_its_own_checked_passes(self, monkeypatch, text, passes):
+        """One kernel pass per c[1,b] or t/p/q atom and three per c[a,b]
+        with a > 1, rightmost factor first, with equal neighbours never
+        cancelled; each pass's image goes through ``_check_image`` before
+        the next pass reads it.  E, P and S name the evacuation, promotion
+        and strip-swap kernels, each followed by its window k."""
+        w = parse_word(text, 5)
+        domain = [
+            T
+            for n in range(6)
+            for lam in enumerate_partitions(n)
+            for T in enumerate_ssyt(lam, 5)
+        ]
+        expected = [act(w, T) for T in domain]
+        log = []
+
+        def counted(letter, kernel):
+            def run(rows, k):
+                image = kernel(rows, k)
+                log.append((f"{letter}{k}", rows, image))
+                return image
+
+            return run
+
+        check_image = group_actions._check_image
+
+        def checked(before, after, what):
+            log.append(("check", before, after))
+            return check_image(before, after, what)
+
+        for name, letter in [
+            ("_evacuate_rows", "E"),
+            ("_promote_rows", "P"),
+            ("_swap_rows", "S"),
+        ]:
+            kernel = getattr(group_actions, name)
+            monkeypatch.setattr(group_actions, name, counted(letter, kernel))
+        monkeypatch.setattr(group_actions, "_check_image", checked)
+        for T, image in zip(domain, expected):
+            log.clear()
+            assert act(w, T) == image
+            runs, checks = log[::2], log[1::2]
+            assert " ".join(step for step, _, _ in runs) == passes, T
+            assert checks == [("check", rows, out) for _, rows, out in runs], T
+            outputs = [out for _, _, out in runs]
+            assert [rows for _, rows, _ in runs] == [T.rows] + outputs[:-1], T
+            assert outputs[-1] == image.rows, T
 
 
 class TestQuotients:

@@ -121,6 +121,25 @@ class TestTau:
                             checked += 1
         assert checked > 6_000
 
+    def test_row_kernel_below_its_window_matches_pattern_reflection(self):
+        """The strip-swap kernel alone on every level k whose letters k and
+        k + 1 end above the last row, which then holds neither (its first
+        entry is above k + 1): every such (T, k) with T in SSYT(lam, m),
+        |lam| <= 6, m <= 6, 1 <= k < m."""
+        checked = 0
+        for size in range(0, 7):
+            for lam in enumerate_partitions(size):
+                for m in range(2, 7):
+                    for T in enumerate_ssyt(lam, m):
+                        if not T.rows:
+                            continue
+                        P = to_pattern(T, m)
+                        for k in range(1, min(m, T.rows[-1][0] - 1)):
+                            expected = from_pattern(bk_tau(P, k)).rows
+                            assert _swap_rows(T.rows, k) == expected, (T, k)
+                            checked += 1
+        assert checked > 24_000
+
 
 class TestStrips:
     def test_figure_swap(self):

@@ -174,6 +174,18 @@ class TestBoundedPromotion:
                             checked += 1
         assert checked > 9_000
 
+    def test_row_kernel_below_its_window_matches_skew_rectification_oracle(self):
+        """The kernel alone on every window 1..k that ends above the last
+        row, which then holds no window entry (its first entry is above k):
+        every such (T, k) with T in SSYT(lam, m), |lam| <= 6, m <= 6."""
+        checked = 0
+        for T, m in ssyt_sweep(6, 6):
+            for k in range(1, T.rows[-1][0] if T.rows else 1):
+                expected = promotion_oracle(T, k).rows
+                assert _promote_rows(T.rows, k) == expected, (T, k)
+                checked += 1
+        assert checked > 36_000
+
 
 class TestEvacuation:
     def test_involution_on_paper_tableau(self):
@@ -210,6 +222,19 @@ class TestEvacuation:
                 assert _evacuate_rows(T.rows, k) == expected, (T, k)
                 checked += 1
         assert checked > 90_000
+
+    def test_row_kernel_below_its_window_matches_promotion_chain(self):
+        """The insertion kernel alone on every window 1..k that ends above
+        the last row, which then holds no window entry (its first entry is
+        above k): every such (T, k) with T in SSYT(lam, m), |lam| <= 6,
+        m <= 6."""
+        checked = 0
+        for T, m in ssyt_sweep(6, 6):
+            for k in range(1, T.rows[-1][0] if T.rows else 1):
+                expected = partial_evacuation_oracle(T.rows, k)
+                assert _evacuate_rows(T.rows, k) == expected, (T, k)
+                checked += 1
+        assert checked > 36_000
 
     def test_reverses_content(self):
         for lam in [(3, 2), (2, 2, 1), (4, 1)]:

@@ -23,6 +23,7 @@ from cactus_tableaux.tableaux import (
     enumerate_tabloids,
     permutation_act_tabloid,
     restrict_entries,
+    _check_image,
     _content_rows,
     _rows_semistandard,
     _ssyt_rows,
@@ -32,6 +33,32 @@ from helpers import semistandard_oracle, subpartitions
 
 PAPER_T = Tableau(((1, 1, 2, 3), (2, 2, 3), (4, 4), (5,)))
 ROW = st.lists(st.integers(-1, 6), max_size=4)
+# Valid straight inputs of a kernel: every SSYT(lam, 4), |lam| <= 5, the
+# empty one included.
+STRAIGHT_SSYT = [
+    rows
+    for n in range(6)
+    for lam in enumerate_partitions(n)
+    for rows in _ssyt_rows(lam, 4)
+]
+
+
+@st.composite
+def raw_images(draw, before):
+    """Raw rows as a kernel could return them for ``before``: often of its
+    row lengths, sorted or not, sometimes with an empty row appended, and
+    otherwise any rows at all (empty rows, entries <= 0 and outer shapes
+    that are not partitions included)."""
+    if draw(st.booleans()):
+        rows = [draw(ROW) for _ in range(draw(st.integers(0, 5)))]
+    else:
+        rows = [
+            draw(st.lists(st.integers(-1, 6), min_size=len(row), max_size=len(row)))
+            for row in before
+        ]
+        if draw(st.booleans()):
+            rows.append([])
+    return tuple(tuple(sorted(row) if draw(st.booleans()) else row) for row in rows)
 
 
 def _reference_error(rows, inner):
@@ -169,6 +196,20 @@ class TestTableau:
         inner = tuple(sorted(inner, reverse=True))
         assert _rows_semistandard(rows, inner) == semistandard_oracle(rows, inner)
         assert _rows_semistandard(rows) == semistandard_oracle(rows)
+
+    @settings(max_examples=500)
+    @given(st.sampled_from(STRAIGHT_SSYT), st.data())
+    def test_check_image_matches_cellwise_oracle(self, before, data):
+        """The post-condition of every kernel pass accepts ``after`` exactly
+        when it has the row lengths of ``before`` and the cell-by-cell
+        oracle finds it semistandard, and it then returns ``after`` itself."""
+        after = data.draw(raw_images(before))
+        lengths = [len(row) for row in after] == [len(row) for row in before]
+        if lengths and semistandard_oracle(after):
+            assert _check_image(before, after, "a pass") is after
+        else:
+            with pytest.raises(AssertionError, match="^a pass of "):
+                _check_image(before, after, "a pass")
 
     def test_entry_is_zero_based_with_inner_offset(self):
         skew = Tableau(rows=((2,), (1, 3)), inner=(1,))
