@@ -16,16 +16,24 @@ Every (n, shape, check) job of a run is grouped into one shard per
 (n, shape), so the domain of that shape and its cached generator
 permutations are built once, in the process that runs all of its checks,
 and dropped when the shard ends: no other shard reads them.
-Shards go to a worker pool largest domain first, and the records come back
-sorted by (n, shape, check), so the output does not depend on the worker
-count.
+With ``workers`` w > 1, w processes run the shards: this one and w - 1
+``os.fork`` children, never more than there are shards.  The shard
+indices, largest domain first, sit in one pipe as 4-byte tickets, and each
+process takes the next ticket whenever it is free, until the pipe is
+empty.  Each child sends its (job, report) pairs back pickled, once, on a
+pipe of its own.  The records are sorted by (n, shape, check) afterwards,
+so the output does not depend on the worker count.  Where ``os.fork`` is
+missing, the run stays in this process.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
+import operator
+import os
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, NamedTuple, Optional
+from typing import Callable, Iterable, NamedTuple, NoReturn, Optional
 
 from .shapes import (
     Interval,
@@ -419,6 +427,8 @@ class RunConfig:
     allow_large: bool = False
 
     def __post_init__(self):
+        for name in ("n_min", "n_max", "workers"):
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
         if self.n_min < 1 or self.n_max < self.n_min:
             raise ValueError("invalid n range")
         if self.n_max > HARD_CAP and not self.allow_large:
@@ -475,6 +485,99 @@ def _run_shard(shard: list[Job]) -> list[tuple[Job, RelationReport]]:
         _drop_domains()
 
 
+_TICKET = 4  # bytes per shard index in the ticket pipe
+
+
+def _pull(shards: list[list[Job]], tickets: int) -> list[tuple[Job, RelationReport]]:
+    """Run the shard of each ticket read from ``tickets`` until the pipe is
+    empty.  Every ticket is written whole in one write of at most PIPE_BUF
+    bytes, so a read never splits one."""
+    pairs = []
+    while ticket := os.read(tickets, _TICKET):
+        pairs += _run_shard(shards[int.from_bytes(ticket, "little")])
+    return pairs
+
+
+def _child(shards: list[list[Job]], tickets: int, feed: int, send: int) -> NoReturn:
+    """The body of a forked worker: pull shards, then write the pickled
+    (pairs, None), or (None, exception), to ``send`` in one piece.  It
+    leaves through ``os._exit``, so it never returns into the caller's
+    stack; the exit status is 0 only once the payload is written."""
+    import pickle
+
+    code = 1
+    try:
+        os.close(feed)
+        try:
+            payload = pickle.dumps((_pull(shards, tickets), None))
+        except BaseException as exc:  # raised again by the parent
+            try:
+                payload = pickle.dumps((None, exc))
+                pickle.loads(payload)
+            except Exception:
+                payload = pickle.dumps((None, RuntimeError(repr(exc))))
+        with open(send, "wb") as out:
+            out.write(payload)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _run_forked(
+    shards: list[list[Job]], workers: int
+) -> list[tuple[Job, RelationReport]]:
+    """Run the shards on this process and ``workers - 1`` forked children,
+    all pulling from one ticket pipe.  A child's exception is raised here
+    again; a child that ends without its payload raises ``RuntimeError``.
+    Whatever this process raises, every child is killed and reaped first."""
+    # Imported here: a serial run and the CLI's start-up do not need them.
+    import pickle
+    import signal
+
+    tickets, feed = os.pipe()
+    children: dict[int, int] = {}  # pid -> read end of its result pipe
+    try:
+        for _ in range(workers - 1):
+            results, send = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _child(shards, tickets, feed, send)
+            os.close(send)
+            children[pid] = results
+        for i in range(len(shards)):
+            os.write(feed, i.to_bytes(_TICKET, "little"))
+        os.close(feed)
+        feed = -1
+        pairs = _pull(shards, tickets)
+        for pid in list(children):
+            with open(children[pid], "rb", closefd=False) as fh:
+                data = fh.read()
+            _, status = os.waitpid(pid, 0)
+            os.close(children.pop(pid))
+            payload = None
+            with contextlib.suppress(Exception):
+                payload = pickle.loads(data)
+            if status or payload is None:
+                raise RuntimeError(
+                    f"verify worker {pid} ended without its results"
+                    f" (wait status {status})"
+                )
+            done, error = payload
+            if error is not None:
+                raise error
+            pairs += done
+        return pairs
+    finally:
+        for fd in (tickets, feed):
+            if fd >= 0:
+                os.close(fd)
+        for pid, results in children.items():
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(results)
+
+
 def batch_verify(config: RunConfig) -> Summary:
     # Each distinct check once, in first-seen order, like the shapes.
     names = dict.fromkeys(config.relations)
@@ -490,23 +593,17 @@ def batch_verify(config: RunConfig) -> Summary:
                 shards.append(shard)
     shards.sort(key=lambda shard: -_ssyt_count(shard[0][1], shard[0][0]))
 
-    if config.workers > 1 and len(shards) > 1:
-        # Imported here: it pulls in multiprocessing, which a serial run
-        # and the CLI's start-up do not need.
-        from concurrent.futures import ProcessPoolExecutor
-
-        # A worker beyond the shard count would get no task, but under fork
-        # it would still be started at the first submit.
-        workers = min(config.workers, len(shards))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_shard, shards))
+    if config.workers > 1 and len(shards) > 1 and hasattr(os, "fork"):
+        # A worker beyond the shard count would get no ticket.
+        pairs = _run_forked(shards, min(config.workers, len(shards)))
     else:
-        results = map(_run_shard, shards)
+        pairs = itertools.chain.from_iterable(map(_run_shard, shards))
+    pairs = sorted(pairs, key=lambda pair: pair[0])
+    if [job for job, _ in pairs] != sorted(job for shard in shards for job in shard):
+        raise AssertionError("the shard results do not hold every job exactly once")
 
     summary = Summary()
-    for (n, shape, name), report in sorted(
-        itertools.chain.from_iterable(results), key=lambda pair: pair[0]
-    ):
+    for (n, shape, name), report in pairs:
         status = report.status
         if not CHECKS[name].expected(Partition(shape)):
             status = "EXPECTED-FAIL" if status == "FAIL" else "UNEXPECTED-PASS"

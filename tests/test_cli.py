@@ -22,15 +22,19 @@ def run(capsys, *argv):
 
 
 def test_import_does_not_load_the_process_pool():
-    """Importing the CLI leaves multiprocessing to parallel runs."""
+    """Neither importing the CLI nor a pooled verify run loads
+    concurrent.futures or multiprocessing."""
     import cactus_tableaux
 
     src = str(Path(cactus_tableaux.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     code = (
-        "import cactus_tableaux.cli, sys; "
-        "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') "
-        "if m in sys.modules))"
+        "import cactus_tableaux.cli, sys\n"
+        "pool = ('concurrent.futures', 'multiprocessing')\n"
+        "print(sorted(m for m in pool if m in sys.modules), file=sys.stderr)\n"
+        "rc = cactus_tableaux.cli.dispatch(['verify', 'relations', '--n-min', '2',"
+        " '--n-max', '3', '--workers', '2'])\n"
+        "print(sorted(m for m in pool if m in sys.modules), rc, file=sys.stderr)\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code],
@@ -40,7 +44,8 @@ def test_import_does_not_load_the_process_pool():
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    assert proc.stderr == "[]\n[] 0\n"
+    assert proc.stdout.endswith('"failed": 0}}\n')
 
 
 def test_enumerate_partitions(capsys):

@@ -45,6 +45,7 @@ from cactus_tableaux.tableaux import (
     permutation_act_tabloid,
     restrict_entries,
 )
+from cactus_tableaux.verify import RunConfig
 
 T = Tableau(((1, 2), (3,)))
 P = to_pattern(T, 3)
@@ -184,6 +185,8 @@ NON_INTEGERS = {
     "restrict_entries": lambda: restrict_entries(T, (1.5, 3)),
     "strip_location level": lambda: strip_location(P, 1, 1.5),
     "strip_location row": lambda: strip_location(P, 1.0, 1),
+    "RunConfig workers": lambda: RunConfig(2, 3, workers=1.5),
+    "RunConfig n_min": lambda: RunConfig(2.0, 3),
 }
 
 

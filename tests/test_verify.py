@@ -6,15 +6,17 @@ import io
 import json
 import os
 import pkgutil
+import select
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import cactus_tableaux
 from cactus_tableaux import verify
-from cactus_tableaux.cli import _emit_summary
+from cactus_tableaux.cli import _emit_summary, dispatch
 from cactus_tableaux.group_actions import (
     BKWord,
     CactusWord,
@@ -159,30 +161,119 @@ def test_worker_pool_matches_serial():
     )
 
 
-def test_pool_is_never_larger_than_the_shard_count(monkeypatch):
-    """--workers 64 on the 3 shapes of n = 3 asks for 3 workers; a fake
-    executor records the request and maps serially, so no pool starts."""
-    import concurrent.futures
+def _record_forks(monkeypatch) -> list[int]:
+    """Wrap os.fork, which still forks, and list the child pids it returns."""
+    pids = []
+    fork = os.fork
 
-    requested = []
+    def recording_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
 
-    class SerialExecutor:
-        def __init__(self, max_workers):
-            requested.append(max_workers)
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return pids
 
-        def __enter__(self):
-            return self
 
-        def __exit__(self, *exc):
-            return False
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
-        def map(self, fn, items):
-            return map(fn, items)
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialExecutor)
+def test_processes_are_never_more_than_the_shards(monkeypatch):
+    """--workers 64 on the 3 shapes of n = 3 runs 3 processes: this one
+    and exactly 2 forked children."""
+    pids = _record_forks(monkeypatch)
     summary = batch_verify(make_config(workers=64))
-    assert requested == [len(enumerate_partitions(3))]
+    assert len(pids) == len(enumerate_partitions(3)) - 1 == 2
     assert summary.records == batch_verify(make_config()).records
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_results_must_hold_every_job_exactly_once(monkeypatch, workers):
+    run_shard = verify._run_shard
+    monkeypatch.setattr(verify, "_run_shard", lambda shard: run_shard(shard) * 2)
+    with pytest.raises(AssertionError, match="every job exactly once"):
+        batch_verify(make_config(workers=workers))
+    _assert_no_child_left()
+
+
+@pytest.fixture
+def forked_check(monkeypatch):
+    """Install, as cactus-defining, a check that calls ``in_child`` in a
+    forked worker, after telling this process so through a pipe, and
+    ``in_parent`` here once a child has got that far.  So a child always
+    holds a shard, however the tickets fall.  The fork copies the patched
+    registry into each child."""
+    parent = os.getpid()
+    told, tell = os.pipe()
+
+    def install(in_child, in_parent=lambda: None):
+        def run(n, shape):
+            if os.getpid() != parent:
+                os.write(tell, b".")
+                in_child()
+            else:
+                select.select([told], [], [], 30)
+                in_parent()
+            return verify.RelationReport("cactus-defining", n, shape, "PASS")
+
+        monkeypatch.setitem(verify.CHECKS, "cactus-defining", verify.Check(run))
+
+    yield install
+    os.close(told)
+    os.close(tell)
+
+
+VERIFY_N3 = [
+    "verify", "relations", "--n", "3", "--relations", "cactus-defining",
+    "--workers", "2",
+]
+
+
+def test_a_value_error_in_a_child_exits_2(forked_check, capsys):
+    def boom():
+        raise ValueError("boom")
+
+    forked_check(boom)
+    assert dispatch(VERIFY_N3) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: boom\n"
+    _assert_no_child_left()
+
+
+def test_a_child_that_dies_raises_and_leaves_out_untouched(
+    forked_check, monkeypatch, capsys, tmp_path
+):
+    pids = _record_forks(monkeypatch)
+    forked_check(lambda: os._exit(9))
+    target = tmp_path / "records.jsonl"
+    target.write_text("old\n")
+    with pytest.raises(RuntimeError) as raised:
+        dispatch([*VERIFY_N3, "--out", str(target)])
+    assert str(raised.value) == (
+        f"verify worker {pids[0]} ended without its results"
+        f" (wait status {9 << 8})"
+    )
+    assert capsys.readouterr().out == ""
+    assert target.read_text() == "old\n"
+    assert sorted(tmp_path.iterdir()) == [target]
+    _assert_no_child_left()
+
+
+def test_an_exception_here_kills_the_children_at_once(forked_check):
+    def fail():
+        raise ValueError("in the parent")
+
+    forked_check(lambda: time.sleep(30), fail)
+    start = time.monotonic()
+    with pytest.raises(ValueError, match="in the parent"):
+        batch_verify(make_config(workers=2))
+    assert time.monotonic() - start < 10
+    _assert_no_child_left()
 
 
 def _cached_domains() -> list[int]:
