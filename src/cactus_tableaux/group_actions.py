@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass
 from functools import reduce
 from typing import Iterable, Optional, Union
 
-from .shapes import Interval, Partition, Permutation
+from .shapes import Interval, Partition, Permutation, value_type
 from .sliding import _evacuate_rows, _promote_rows
 from .gt_patterns import _swap_rows
 from .tableaux import (
@@ -35,7 +34,7 @@ def _repeated(factors: tuple, e: int) -> tuple:
     return factors * e
 
 
-@dataclass(frozen=True)
+@value_type
 class CactusWord:
     n: int
     factors: tuple[Interval, ...]
@@ -63,7 +62,7 @@ class CactusWord:
 BKAtom = tuple[str, int]  # ("t" | "p" | "q", k)
 
 
-@dataclass(frozen=True)
+@value_type
 class BKWord:
     n: int
     factors: tuple[BKAtom, ...]

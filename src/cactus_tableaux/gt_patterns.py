@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import operator
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from typing import Iterator
 
+from .shapes import value_type
 from .tableaux import (
     Rows,
     Tableau,
@@ -29,7 +29,7 @@ from .tableaux import (
 )
 
 
-@dataclass(frozen=True)
+@value_type
 class GTPattern:
     rows: tuple[tuple[int, ...], ...]
 
@@ -69,7 +69,7 @@ class GTPattern:
         return cls(rows=tuple(tuple(row) for row in obj["rows"]))
 
 
-@dataclass(frozen=True)
+@value_type
 class Strip:
     """A strip of the two-letter sub-tableau at level k.
 
@@ -84,7 +84,7 @@ class Strip:
     level: int
 
 
-@dataclass(frozen=True)
+@value_type
 class StripRectangle:
     """A k-row directly atop a (k+1)-row of equal span."""
 

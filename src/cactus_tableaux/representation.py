@@ -8,10 +8,10 @@ code path.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
-from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from .shapes import (
     Composition,
@@ -20,11 +20,13 @@ from .shapes import (
     conjugate,
     enumerate_partitions,
     is_hook,
+    value_type,
 )
 from .tableaux import (
     Tableau,
     Tabloid,
     _content_rows,
+    _index,
     _syt_count,
     dual_reflect,
     syt_tuple,
@@ -34,7 +36,7 @@ from .group_actions import bk_t_perm
 CycleType = Partition
 
 
-@dataclass(frozen=True)
+@value_type
 class HookShape:
     """A hook (a, 1^b) with its arm/leg data and two-part composition."""
 
@@ -131,7 +133,7 @@ def class_size(rho: CycleType) -> int:
     return math.factorial(rho.size) // z
 
 
-@dataclass(frozen=True)
+@value_type
 class CharacterValueTable:
     """Full character table of the symmetric group of degree m.
 
@@ -157,11 +159,19 @@ def character_table(m: int) -> CharacterValueTable:
     if m < 1:
         raise ValueError("degree must be >= 1")
     parts = tuple(enumerate_partitions(m))
-    values = tuple(tuple(_mn(_beta(mu), rho) for rho in parts) for mu in parts)
+    values = tuple(
+        tuple(_mn(beta, rho) for rho in parts) for beta in map(_beta, parts)
+    )
     return CharacterValueTable(degree=m, partitions=parts, values=values)
 
 
-@dataclass(frozen=True)
+@lru_cache(maxsize=None)
+def _class_sizes(m: int) -> tuple[int, ...]:
+    """The class sizes of the columns of ``character_table(m)``, in order."""
+    return tuple(map(class_size, character_table(m).partitions))
+
+
+@value_type
 class MultiplicityVector:
     """Multiplicities of irreducibles, indexed by partitions of ``degree``."""
 
@@ -195,7 +205,10 @@ def schutzenberger_perm_character(lam: Partition) -> dict[CycleType, int]:
     the block acts as B(a, b) = t_{a+1} ... t_b = B(a, b-1) t_b, one product
     from the block a letter shorter; the blocks are shared between classes.
     Blocks are disjoint and at least two letters apart, and t_k t_l = t_l t_k
-    for |k - l| >= 2, so the order of the blocks does not matter.
+    for |k - l| >= 2, so the order of the blocks does not matter.  The
+    identity class, which has no block, fixes every tableau: its value is
+    the size of the enumerated domain, which ``decompose_schutzenberger``
+    then checks against the hook-length formula.
     """
     lam = Partition(lam)
     # The hook guard: it raises ValueError off hooks, where the t_k give no
@@ -213,16 +226,17 @@ def schutzenberger_perm_character(lam: Partition) -> dict[CycleType, int]:
             blocks[a, b] = t_b if b == a + 1 else block(a, b - 1) * t_b
         return blocks[a, b]
 
-    identity = Permutation.identity(hook_length_dim(lam))
     out = {}
     for rho in enumerate_partitions(n - 1):
-        perm = identity
-        start = 1
-        for length in rho:
-            if length >= 2:
-                perm = perm * block(start, start + length - 1)
-            start += length
-        images = perm.images
+        factors = [
+            block(end - length + 1, end)
+            for length, end in zip(rho, itertools.accumulate(rho))
+            if length >= 2
+        ]
+        if not factors:
+            out[rho] = len(_index(tuple(lam), None))
+            continue
+        images = reduce(operator.mul, factors).images
         out[rho] = sum(map(operator.eq, images, range(1, len(images) + 1)))
     return out
 
@@ -236,7 +250,9 @@ def decompose_schutzenberger(lam: Partition) -> MultiplicityVector:
     char = schutzenberger_perm_character(lam)
     table = character_table(n - 1)
     order = math.factorial(n - 1)
-    weights = [class_size(rho) * char[rho] for rho in table.partitions]
+    weights = [
+        size * char[rho] for size, rho in zip(_class_sizes(n - 1), table.partitions)
+    ]
     mults = []
     for mu, values in zip(table.partitions, table.values):
         total = sum(w * v for w, v in zip(weights, values))

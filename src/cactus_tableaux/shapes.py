@@ -1,8 +1,23 @@
-"""Partitions, compositions, intervals and permutations.
+"""Partitions, compositions, intervals, permutations and value types.
 
 These are the elementary value types everything else is built on.  All of
 them are immutable and hashable, so they can be used freely as dict keys
 and shared between threads.
+
+The record types of the other modules (``Tableau``, ``GTPattern``,
+``RelationReport`` and the rest) are declared as annotated classes under
+:func:`value_type`, which gives each of them:
+
+- a constructor taking the annotated fields, in order, by position or by
+  keyword, with a class attribute of the same name as the field's default;
+- a call to ``__post_init__`` after the fields are set, when the class
+  defines one; it is looked up on the instance, so a patched method runs,
+  and it sets normalised fields through ``object.__setattr__``;
+- equality only with an instance of the same class whose fields are equal,
+  and a hash of the fields, both read through one ``operator.attrgetter``;
+- the repr ``Name(field=value, ...)``;
+- fields that refuse assignment and deletion with ``AttributeError``;
+- an ordinary instance ``__dict__``, so copying and pickling work unchanged.
 """
 
 from __future__ import annotations
@@ -10,6 +25,57 @@ from __future__ import annotations
 import operator
 from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple
+
+
+def value_type(cls):
+    """Give the annotated class ``cls`` the value-type methods listed in
+    the module docstring, built without ``exec``, and return it."""
+    names = tuple(cls.__annotations__)
+    defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
+    fields = operator.attrgetter(*names)
+    post_init = hasattr(cls, "__post_init__")
+
+    def __init__(self, *args, **kwargs):
+        if len(args) > len(names):
+            raise TypeError(f"{cls.__name__}() takes at most {len(names)} arguments")
+        state = self.__dict__
+        state.update(zip(names, args))
+        for name in names[len(args) :]:
+            if name in kwargs:
+                state[name] = kwargs.pop(name)
+            elif name in defaults:
+                state[name] = defaults[name]
+            else:
+                raise TypeError(f"{cls.__name__}() missing argument {name!r}")
+        if kwargs:
+            raise TypeError(
+                f"{cls.__name__}() got an unexpected or repeated argument"
+                f" {next(iter(kwargs))!r}"
+            )
+        if post_init:
+            self.__post_init__()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return fields(self) == fields(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(fields(self))
+
+    def __repr__(self):
+        text = ", ".join(f"{name}={getattr(self, name)!r}" for name in names)
+        return f"{self.__class__.__qualname__}({text})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    for method in (__init__, __eq__, __hash__, __repr__, __setattr__, __delattr__):
+        setattr(cls, method.__name__, method)
+    return cls
 
 
 class Partition(tuple):

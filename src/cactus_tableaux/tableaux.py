@@ -11,16 +11,15 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Optional
 
-from .shapes import Composition, Interval, Partition, Permutation, conjugate
+from .shapes import Composition, Interval, Partition, Permutation, conjugate, value_type
 
 Rows = tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
+@value_type
 class Tableau:
     """A (possibly skew) filling; ``inner`` is empty for straight shapes."""
 
@@ -121,7 +120,7 @@ class Tableau:
         )
 
 
-@dataclass(frozen=True)
+@value_type
 class Tabloid:
     """Rows-as-sets filling of a composition shape, partitioning {1..n}."""
 

@@ -21,9 +21,11 @@ With ``workers`` w > 1, w processes run the shards: this one and w - 1
 indices, largest domain first, sit in one pipe as 4-byte tickets, and each
 process takes the next ticket whenever it is free, until the pipe is
 empty.  Each child sends its (job, report) pairs back pickled, once, on a
-pipe of its own.  The records are sorted by (n, shape, check) afterwards,
-so the output does not depend on the worker count.  Where ``os.fork`` is
-missing, the run stays in this process.
+pipe of its own, which this process reads between its own shards, so a
+child's failure ends the run before this process starts another shard.
+The records are sorted by (n, shape, check) afterwards, so the output does
+not depend on the worker count.  Where ``os.fork`` is missing, the run
+stays in this process.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ import contextlib
 import itertools
 import operator
 import os
-from dataclasses import dataclass, field
 from typing import Callable, Iterable, NamedTuple, NoReturn, Optional
 
 from .shapes import (
@@ -41,6 +42,7 @@ from .shapes import (
     Permutation,
     enumerate_partitions,
     is_hook,
+    value_type,
 )
 from .tableaux import (
     Tableau,
@@ -74,7 +76,7 @@ Shape = tuple[int, ...]
 Job = tuple[int, Shape, str]  # (n, shape, check)
 
 
-@dataclass(frozen=True)
+@value_type
 class RelationReport:
     relation: str
     n: int
@@ -417,7 +419,7 @@ CHECKS: dict[str, Check] = {
 ALL_CHECKS = tuple(CHECKS)
 
 
-@dataclass(frozen=True)
+@value_type
 class RunConfig:
     n_min: int
     n_max: int
@@ -447,12 +449,20 @@ class RunConfig:
                 raise ValueError(f"unknown check {name!r}")
 
 
-@dataclass
 class Summary:
-    checked: int = 0
-    passed: int = 0
-    failed: int = 0
-    records: list[dict] = field(default_factory=list)
+    """The counts and records of one run; ``batch_verify`` fills it in."""
+
+    def __init__(
+        self,
+        checked: int = 0,
+        passed: int = 0,
+        failed: int = 0,
+        records: Optional[list[dict]] = None,
+    ):
+        self.checked = checked
+        self.passed = passed
+        self.failed = failed
+        self.records = [] if records is None else records
 
     def to_json(self) -> dict:
         return {
@@ -488,13 +498,16 @@ def _run_shard(shard: list[Job]) -> list[tuple[Job, RelationReport]]:
 _TICKET = 4  # bytes per shard index in the ticket pipe
 
 
-def _pull(shards: list[list[Job]], tickets: int) -> list[tuple[Job, RelationReport]]:
+def _pull(
+    shards: list[list[Job]], tickets: int, poll: Callable[[], None] = lambda: None
+) -> list[tuple[Job, RelationReport]]:
     """Run the shard of each ticket read from ``tickets`` until the pipe is
-    empty.  Every ticket is written whole in one write of at most PIPE_BUF
-    bytes, so a read never splits one."""
+    empty, calling ``poll`` after each one.  Every ticket is written whole
+    in one write of at most PIPE_BUF bytes, so a read never splits one."""
     pairs = []
     while ticket := os.read(tickets, _TICKET):
         pairs += _run_shard(shards[int.from_bytes(ticket, "little")])
+        poll()
     return pairs
 
 
@@ -529,31 +542,28 @@ def _run_forked(
     """Run the shards on this process and ``workers - 1`` forked children,
     all pulling from one ticket pipe.  A child's exception is raised here
     again; a child that ends without its payload raises ``RuntimeError``.
+    Between its own shards this process reads every payload that is ready,
+    so a child's failure is raised before the next shard here starts.
     Whatever this process raises, every child is killed and reaped first."""
     # Imported here: a serial run and the CLI's start-up do not need them.
     import pickle
+    import select
     import signal
 
     tickets, feed = os.pipe()
-    children: dict[int, int] = {}  # pid -> read end of its result pipe
-    try:
-        for _ in range(workers - 1):
-            results, send = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                _child(shards, tickets, feed, send)
-            os.close(send)
-            children[pid] = results
-        for i in range(len(shards)):
-            os.write(feed, i.to_bytes(_TICKET, "little"))
-        os.close(feed)
-        feed = -1
-        pairs = _pull(shards, tickets)
-        for pid in list(children):
-            with open(children[pid], "rb", closefd=False) as fh:
+    children: dict[int, int] = {}  # read end of its result pipe -> pid
+    pairs: list[tuple[Job, RelationReport]] = []
+
+    def collect(ready: Iterable[int]) -> None:
+        """Read each result pipe in ``ready`` to its end, reap its child and
+        add its pairs, or raise its failure."""
+        for results in ready:
+            with open(results, "rb", closefd=False) as fh:
                 data = fh.read()
+            pid = children[results]
             _, status = os.waitpid(pid, 0)
-            os.close(children.pop(pid))
+            del children[results]
+            os.close(results)
             payload = None
             with contextlib.suppress(Exception):
                 payload = pickle.loads(data)
@@ -565,13 +575,31 @@ def _run_forked(
             done, error = payload
             if error is not None:
                 raise error
-            pairs += done
-        return pairs
+            pairs.extend(done)
+
+    def poll() -> None:
+        collect(select.select(list(children), [], [], 0)[0])
+
+    try:
+        for _ in range(workers - 1):
+            results, send = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _child(shards, tickets, feed, send)
+            os.close(send)
+            children[results] = pid
+        for i in range(len(shards)):
+            os.write(feed, i.to_bytes(_TICKET, "little"))
+        os.close(feed)
+        feed = -1
+        mine = _pull(shards, tickets, poll)
+        collect(list(children))
+        return mine + pairs
     finally:
         for fd in (tickets, feed):
             if fd >= 0:
                 os.close(fd)
-        for pid, results in children.items():
+        for results, pid in children.items():
             with contextlib.suppress(ProcessLookupError):
                 os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)

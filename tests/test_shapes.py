@@ -1,6 +1,15 @@
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
+from cactus_tableaux.group_actions import BKWord, CactusWord
+from cactus_tableaux.gt_patterns import GTPattern, Strip, StripRectangle
+from cactus_tableaux.representation import (
+    CharacterValueTable,
+    HookShape,
+    MultiplicityVector,
+)
 from cactus_tableaux.shapes import (
     Composition,
     Interval,
@@ -10,6 +19,8 @@ from cactus_tableaux.shapes import (
     enumerate_partitions,
     is_hook,
 )
+from cactus_tableaux.tableaux import Tableau, Tabloid
+from cactus_tableaux.verify import ALL_CHECKS, RelationReport, RunConfig, Summary
 
 
 class TestPartition:
@@ -161,3 +172,122 @@ def test_product_is_a_bijection(pq):
     assert sorted(product.images) == list(range(1, m + 1))
     assert all(product(x) == p[q[x - 1] - 1] for x in range(1, m + 1))
 
+
+
+# (type, its required fields in order, its defaulted fields with their
+# defaults, fields that make an unequal instance); Summary alone is mutable.
+VALUE_TYPES = [
+    (Tableau, {"rows": ((1, 2), (3,))}, {"inner": ()}, {"rows": ((1, 3), (2,))}),
+    (
+        Tabloid,
+        {"shape": (2, 1), "rows": (frozenset({1, 3}), frozenset({2}))},
+        {},
+        {"rows": (frozenset({1, 2}), frozenset({3}))},
+    ),
+    (GTPattern, {"rows": ((1,), (2, 0))}, {}, {"rows": ((2,), (2, 0))}),
+    (
+        Strip,
+        {"row": 1, "start_col": 2, "low": 1, "high": 1, "level": 1},
+        {},
+        {"level": 2},
+    ),
+    (
+        StripRectangle,
+        {"row": 1, "start_col": 1, "width": 2, "level": 1},
+        {},
+        {"width": 1},
+    ),
+    (CactusWord, {"n": 3, "factors": (Interval(1, 2),)}, {}, {"n": 4}),
+    (BKWord, {"n": 3, "factors": (("t", 1),)}, {}, {"factors": (("q", 2),)}),
+    (
+        HookShape,
+        {
+            "partition": Partition((3, 1, 1)),
+            "arm": 2,
+            "leg": 2,
+            "tilde": Composition((2, 2)),
+        },
+        {},
+        {"arm": 3},
+    ),
+    (
+        CharacterValueTable,
+        {
+            "degree": 2,
+            "partitions": (Partition((2,)), Partition((1, 1))),
+            "values": ((1, 1), (1, -1)),
+        },
+        {},
+        {"values": ((1, 1), (1, 1))},
+    ),
+    (
+        MultiplicityVector,
+        {"degree": 2, "mults": ((Partition((2,)), 1), (Partition((1, 1)), 0))},
+        {},
+        {"mults": ((Partition((2,)), 0), (Partition((1, 1)), 1))},
+    ),
+    (
+        RelationReport,
+        {"relation": "star", "n": 4, "shape": (2, 2), "status": "PASS"},
+        {"counterexample": None},
+        {"status": "FAIL"},
+    ),
+    (
+        RunConfig,
+        {"n_min": 2, "n_max": 3},
+        {
+            "shapes": "all",
+            "relations": ALL_CHECKS,
+            "workers": 1,
+            "allow_large": False,
+        },
+        {"workers": 2},
+    ),
+    (
+        Summary,
+        {},
+        {"checked": 0, "passed": 0, "failed": 0, "records": []},
+        {"checked": 1},
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, required, defaults, changed",
+    VALUE_TYPES,
+    ids=[case[0].__name__ for case in VALUE_TYPES],
+)
+def test_value_type_contract(cls, required, defaults, changed):
+    """Construction by position, keyword and default; for the frozen types,
+    equality and hash by fields within one class only, fields that refuse
+    assignment and deletion; and a pickle round trip."""
+    fields = {**required, **defaults}
+    obj = cls(*required.values())
+    assert vars(obj) == fields
+    assert vars(cls(**required)) == fields
+    assert vars(cls(*fields.values())) == fields
+    assert vars(cls(**fields)) == fields
+    with pytest.raises(TypeError):
+        cls(*fields.values(), None)
+    with pytest.raises(TypeError):
+        cls(**required, unknown=None)
+    copy = pickle.loads(pickle.dumps(obj))
+    assert type(copy) is cls and vars(copy) == fields
+    if cls is Summary:
+        assert cls().records is not cls().records
+        obj.checked += 1  # batch_verify counts into it
+        assert obj.checked == 1
+        return
+    twin = cls(*fields.values())
+    assert obj == twin and hash(obj) == hash(twin) and {obj: 1}[twin] == 1
+    assert obj == copy and hash(obj) == hash(copy)
+    assert obj != cls(**{**fields, **changed})
+    subclass = type("Twin", (cls,), {})
+    assert obj != subclass(*fields.values()) and obj != tuple(fields.values())
+    name = next(iter(fields))
+    for attr in (name, "unknown"):
+        with pytest.raises(AttributeError):
+            setattr(obj, attr, None)
+        with pytest.raises(AttributeError):
+            delattr(obj, attr)
+    assert vars(obj) == fields

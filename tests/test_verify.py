@@ -233,15 +233,44 @@ VERIFY_N3 = [
 ]
 
 
-def test_a_value_error_in_a_child_exits_2(forked_check, capsys):
+def test_a_value_error_in_a_child_exits_2(forked_check, monkeypatch, capsys):
+    """The child raises at its first shard, and this process raises it
+    again after at most one more shard of its own: its first shard waits
+    until the child has written its payload and exited."""
+    ended, end = os.pipe()
+    exit_ = os._exit
+
+    def exit_and_tell(code):  # called only in the child, as it leaves
+        os.write(end, b".")
+        exit_(code)
+
     def boom():
         raise ValueError("boom")
 
-    forked_check(boom)
-    assert dispatch(VERIFY_N3) == 2
+    shards_here = []
+
+    def after_the_child_ended():
+        if not shards_here:
+            select.select([ended], [], [], 30)
+        shards_here.append(1)
+
+    monkeypatch.setattr(os, "_exit", exit_and_tell)
+    forked_check(boom, after_the_child_ended)
+    argv = [
+        "verify", "relations", "--n-min", "2", "--n-max", "4",
+        "--relations", "cactus-defining", "--workers", "2",
+    ]
+    try:
+        assert dispatch(argv) == 2
+    finally:
+        os.close(ended)
+        os.close(end)
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "error: boom\n"
+    # 10 shards: the child stops at its first, so a run that reads the
+    # child only at the end runs every other shard here.
+    assert 1 <= len(shards_here) <= 2
     _assert_no_child_left()
 
 
@@ -296,7 +325,9 @@ def test_every_domain_cache_is_registered():
     }
     assert sorted(cache.__name__ for cache in _DOMAIN_CACHES) == sorted(domain)
     assert all(caches[name] in _DOMAIN_CACHES for name in domain)
-    assert set(caches) - domain == {"_partitions", "_mn", "character_table"}
+    assert set(caches) - domain == {
+        "_partitions", "_mn", "character_table", "_class_sizes"
+    }
 
 
 def test_a_run_leaves_no_domain_cached():
