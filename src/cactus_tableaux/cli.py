@@ -3,7 +3,7 @@
 Everything is emitted as JSON lines on stdout (or to --out).  Exit codes:
 0 success / all checks pass, 1 at least one unexpected verification
 failure, 2 usage or input error (an input too deep for the recursion limit
-included).
+included, and a verify run whose shapes, sizes and checks leave no job).
 """
 
 from __future__ import annotations
@@ -150,7 +150,15 @@ def _cmd_verify(args, stream) -> int:
             raise ValueError("verify main-theorem takes no --relations")
         args.relations = "main-theorem"
     config = _make_config(args)
-    return _emit_summary(batch_verify(config), stream)
+    summary = batch_verify(config)
+    if not summary.checked:
+        shapes = config.shapes
+        named = shapes if isinstance(shapes, str) else json.dumps(shapes)
+        raise ValueError(
+            f"nothing to verify: no job for the shapes {named}"
+            f" at n = {config.n_min}..{config.n_max}"
+        )
+    return _emit_summary(summary, stream)
 
 
 def _cmd_decompose(args, stream) -> int:

@@ -8,10 +8,12 @@ enumerated tableau set.
 
 from __future__ import annotations
 
+import itertools
 import operator
 import re
+from bisect import bisect_right
 from functools import reduce
-from typing import Iterable, Optional, Union
+from typing import Iterable, NamedTuple, Optional, Union
 
 from .shapes import Interval, Partition, Permutation, value_type
 from .sliding import _evacuate_rows, _promote_rows
@@ -291,18 +293,128 @@ def interval_perm(
     return interval_perm(lam, m, 1, b - 1) * promotion_perm(lam, m, b)
 
 
+class _ColumnView(NamedTuple):
+    """SSYT(lam, m) as Gelfand-Tsetlin columns, in the order of its index.
+
+    L(i, j) is the number of entries <= j in row i of a tableau, the entry
+    (i, j) of its pattern.  ``columns[i, j]`` lists L(i, j) over the domain
+    for 1 <= i <= min(j, len(lam)) and j < m; every other L(i, j) is
+    constant: lam_i on the top row j = m, and 0 for i > j or i > len(lam).
+    ``keys`` are those entries read as one mixed-radix integer per tableau,
+    digit (i, j) of radix lam_i + 1 and weight ``weights[i, j]``, the
+    digits ordered by pattern row j.  So ``key % cuts[k]`` is the part of
+    the key from rows 1..k, the sub-tableau of entries <= k.  ``position``
+    maps each key to its tableau's position in the domain.
+    """
+
+    columns: dict[tuple[int, int], bytes]
+    weights: dict[tuple[int, int], int]
+    cuts: tuple[int, ...]
+    keys: list[int]
+    position: dict[int, int]
+
+
+@_per_domain
+def _column_view(lam: tuple[int, ...], m: int) -> _ColumnView:
+    """The Gelfand-Tsetlin column view of SSYT(lam, m), built once per domain.
+
+    A row's counts depend on that row alone, so each distinct row is
+    counted once.  A column takes a byte per tableau, where a list would
+    take a pointer; only a part above 255 keeps its columns as tuples.
+    """
+    index = _index(lam, m)
+    weights = {}
+    cuts = [1]
+    for j in range(1, m):
+        weight = cuts[-1]
+        for i in range(1, min(j, len(lam)) + 1):
+            weights[i, j] = weight
+            weight *= lam[i - 1] + 1
+        cuts.append(weight)
+    cuts.append(cuts[-1])  # the top row m is constant and has no digit
+    compact = bytes if max(lam, default=0) < 256 else tuple
+    columns = {}
+    keys = [0] * len(index)
+    for r in range(len(lam)):
+        i, js = r + 1, range(r + 1, m)
+        row_of = [rows[r] for rows in index]
+        counts = {
+            row: [bisect_right(row, j) for j in js] for row in set(row_of)
+        }
+        part = {
+            row: sum(c * weights[i, j] for c, j in zip(cs, js))
+            for row, cs in counts.items()
+        }
+        keys = list(map(operator.add, keys, map(part.__getitem__, row_of)))
+        # zip(*) of no rows would give no columns at all.
+        transposed = (
+            zip(*map(counts.__getitem__, row_of)) if index else itertools.repeat(())
+        )
+        for j, column in zip(js, transposed):
+            columns[i, j] = compact(column)
+    position = {key: i for i, key in enumerate(keys)}
+    return _ColumnView(columns, weights, tuple(cuts), keys, position)
+
+
+def _keyed_perm(
+    lam: tuple[int, ...], m: int, keys: list[int], what: str
+) -> Permutation:
+    """The permutation of SSYT(lam, m) that sends each tableau to the one
+    whose key is at its place in ``keys``.  Its post-condition, checked in
+    every run mode: every image key lies in the domain."""
+    position = _column_view(lam, m).position
+    try:
+        return Permutation([position[key] + 1 for key in keys])
+    except KeyError:
+        i = next(i for i, key in enumerate(keys) if key not in position)
+        rows = next(itertools.islice(_index(lam, m), i, None))
+        raise AssertionError(
+            f"{what} maps {rows} outside the domain {lam}, m = {m}"
+        ) from None
+
+
 @_per_domain
 def bk_t_perm(lam: tuple[int, ...], m: Optional[int], k: int) -> Permutation:
     """t_k as a permutation of the domain (lam, m).
 
     Its window k..k+1 must lie in the domain's alphabet.  On SYT(lam) it is
-    read off :func:`_syt_t_perms`; on SSYT the strip-swap kernel runs on
-    every tableau of the domain.
+    read off :func:`_syt_t_perms`.  On SSYT it is the Berenstein-Kirillov
+    reflection of pattern row k, L(i, k) -> a + b - L(i, k) with
+    a = min(L(i, k+1), L(i-1, k-1)) and b = max(L(i, k-1), L(i+1, k+1)),
+    the edge rules of ``gt_patterns._tau_bounds`` (row i = 1 has no
+    L(i-1, k-1), and L(k, k-1) = 0), evaluated a column at a time over
+    the whole domain: one comprehension per row i adds its change times
+    its weight to every key.  No other row of the pattern changes.
+    ``_swap_rows``, the strip swap that ``act`` runs, is the independent
+    oracle the tests compare it with.
     """
     _check_window(lam, m, f"t{k}", k, k + 1)
     if m is None:
         return _syt_t_perms(lam)[k - 1]
-    return _induced_perm(lam, m, lambda rows: _swap_rows(rows, k), f"t{k}")
+    view = _column_view(lam, m)
+
+    def column(i: int, j: int):
+        if i > len(lam) or i > j:
+            return itertools.repeat(0)
+        return itertools.repeat(lam[i - 1]) if j == m else view.columns[i, j]
+
+    keys = view.keys
+    for i in range(1, min(k, len(lam)) + 1):
+        w = view.weights[i, k]
+        # L(0, k-1) bounds nothing: L(1, k+1) <= lam_1.
+        above = column(i - 1, k - 1) if i > 1 else itertools.repeat(lam[0])
+        keys = [
+            key + ((up if up < ul else ul) + (down if down > dr else dr) - 2 * x) * w
+            for key, x, up, ul, down, dr in zip(
+                keys,
+                view.columns[i, k],
+                column(i, k + 1),
+                above,
+                column(i, k - 1),
+                column(i + 1, k + 1),
+            )
+        ]
+    return _keyed_perm(lam, m, keys, f"t{k}")
 
 
 @_per_domain
@@ -358,12 +470,34 @@ def promotion_perm(lam: tuple[int, ...], m: Optional[int], k: int) -> Permutatio
     """Bounded promotion with window 1..k as a permutation of (lam, m).
 
     The window must lie in the domain's alphabet: a larger one relabels
-    vacated cells k, outside the domain.
+    vacated cells k, outside the domain.  On SSYT, pr_k fixes every entry
+    above k and keeps the shape of the entries <= k, so it changes only
+    pattern rows below k, and how depends only on the sub-tableau of
+    entries <= k: ``key % cuts[k]``.  So ``_promote_rows`` runs once per
+    distinct sub-tableau, on any tableau that holds it; that image must lie
+    in the domain, and its key change is added to the key of every tableau
+    with the same sub-tableau.  On SYT the kernel runs on every tableau.
     """
     _check_window(lam, m, f"promotion_{k}", 1, k)
-    return _induced_perm(
-        lam, m, lambda rows: _promote_rows(rows, k), f"promotion_{k}"
-    )
+    what = f"promotion_{k}"
+    if m is None:
+        return _induced_perm(lam, m, lambda rows: _promote_rows(rows, k), what)
+    index = _index(lam, m)
+    view = _column_view(lam, m)
+    cut = view.cuts[k]
+    subs = [key % cut for key in view.keys]
+    shift = {}
+    for sub, key, rows in zip(subs, view.keys, index):
+        if sub not in shift:
+            image = _promote_rows(rows, k)
+            j = index.get(image)
+            if j is None:
+                raise AssertionError(
+                    f"{what} maps {rows} to {image}, outside the domain {lam}, m = {m}"
+                )
+            shift[sub] = view.keys[j] - key
+    keys = [key + shift[sub] for key, sub in zip(view.keys, subs)]
+    return _keyed_perm(lam, m, keys, what)
 
 
 @_per_domain
@@ -402,8 +536,8 @@ def word_perm(
         factors = [interval_perm(lam, m, a, b) for a, b in w.factors]
     else:
         factors = [_atom_perm(lam, m, kind, k) for kind, k in w.factors]
-    if not factors:
-        return Permutation.identity(len(_index(lam, m)))
+    if not factors:  # the identity of the domain, a bijection by construction
+        return Permutation._unchecked(tuple(range(1, len(_index(lam, m)) + 1)))
     return reduce(operator.mul, factors)
 
 

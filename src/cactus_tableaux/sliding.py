@@ -152,33 +152,48 @@ def bounded_promotion(T: Tableau, k: int) -> Tableau:
 def _promote_rows(rows: Rows, k: int) -> Rows:
     """The bounded-promotion kernel on the rows of a straight SSYT; no checks.
 
-    One jeu-de-taquin pass: the cells with entries 2..k form the grid, and
-    cells with larger entries stay out of it, so no hole slides through
-    them.  Columns strictly increase, so the first entries of the rows do
-    too: once a row starts above k, so does every row below, and the grid
-    stops there; within a row it stops at the first entry above k.  Only
-    the window rows are rebuilt.  The 1s, a prefix of row 0, become holes
-    that slide out rightmost first, each the only removable inner corner
-    when it moves.  Only then do the surviving entries drop by one and the
-    vacated cells take k.
+    One jeu-de-taquin pass on a grid of lists: the window rows, each cut at
+    its first entry above k, so the cells with larger entries stay out of
+    the grid and no hole slides through them.  Columns strictly increase,
+    so the first entries of the rows do too: once a row starts above k, so
+    does every row below, and the grid stops there.  The grid holds each
+    entry less one, which changes no comparison.  The 1s, a prefix of
+    row 0, become holes that slide out rightmost first, each the only
+    removable inner corner when it moves.  A hole stops at the last live
+    cell of its row, so each grid row keeps one live length, and its cells
+    past that length are the vacated ones, which take k.  Only the window
+    rows are rebuilt.
     """
-    grid: dict[Cell, int] = {}
-    depth = 0  # the number of rows holding an entry <= k
+    grid = []
     for row in rows:
         cut = bisect_right(row, k)
         if not cut:
             break
-        for c in range(bisect_right(row, 1), cut):
-            grid[depth, c] = row[c]
-        depth += 1
-    ones = bisect_right(rows[0], 1) if rows else 0
-    vacated = [_slide_hole(grid, (0, c)) for c in reversed(range(ones))]
-    out = [list(row) for row in rows[:depth]]
-    for (r, c), e in grid.items():
-        out[r][c] = e - 1
-    for r, c in vacated:
-        out[r][c] = k
-    return tuple(map(tuple, out)) + rows[depth:]
+        grid.append([e - 1 for e in row[:cut]])
+    depth = len(grid)
+    if not depth:
+        return rows
+    live = [len(cells) for cells in grid]
+    for start in reversed(range(bisect_right(rows[0], 1))):
+        r, c, cells = 0, start, grid[0]
+        while True:
+            east = c + 1 < live[r]
+            if r + 1 < depth and c < live[r + 1]:
+                below = grid[r + 1]
+                if not (east and cells[c + 1] < below[c]):
+                    cells[c] = below[c]
+                    r, cells = r + 1, below
+                    continue
+            if not east:
+                break
+            cells[c] = cells[c + 1]
+            c += 1
+        live[r] = c
+    rebuilt = []
+    for cells, n, row in zip(grid, live, rows):
+        cells[n:] = [k] * (len(cells) - n)
+        rebuilt.append((*cells, *row[len(cells) :]))
+    return (*rebuilt, *rows[depth:])
 
 
 def _evacuate_rows(rows: Rows, k: int) -> Rows:

@@ -34,6 +34,7 @@ import contextlib
 import itertools
 import operator
 import os
+from functools import lru_cache
 from typing import Callable, Iterable, NamedTuple, NoReturn, Optional
 
 from .shapes import (
@@ -105,46 +106,52 @@ def _compare(
     n: int,
     lam: Shape,
     domain: str,
-    comparisons: Iterable[tuple[Permutation, Permutation, dict]],
+    comparisons: Iterable[tuple[Permutation, Permutation, object]],
+    describe: Callable[[object], dict] = dict,
 ) -> RelationReport:
     """PASS, or FAIL at the first comparison whose two sides differ.
 
-    ``comparisons`` yields (lhs, rhs, fields) and is consumed lazily, so
+    ``comparisons`` yields (lhs, rhs, label) and is consumed lazily, so
     no permutation after the first failure is built.  The counterexample
     is the first tableau of the domain on which the sides differ, followed
-    by the comparison's fields.
+    by the fields ``describe(label)``, which only the failing comparison
+    formats.
     """
-    for lhs, rhs, fields in comparisons:
+    for lhs, rhs, label in comparisons:
         if lhs != rhs:
             index = _index(lam, n if domain == "ssyt" else None)
             i = next(i for i, x in enumerate(lhs.images) if x != rhs.images[i])
             rows = next(itertools.islice(index, i, None))
-            ce = {"tableau": Tableau(rows).to_json(), **fields}
+            ce = {"tableau": Tableau(rows).to_json(), **describe(label)}
             return RelationReport(relation, n, lam, "FAIL", ce)
     return RelationReport(relation, n, lam, "PASS")
 
 
+WordPair = tuple[Optional[str], Word, Word]
+
+
+def _pair_fields(pair: WordPair) -> dict:
+    """The counterexample fields of a (name, lhs, rhs) pair; a pair named
+    None reports no ``instance`` field."""
+    name, lhs, rhs = pair
+    fields = {} if name is None else {"instance": name}
+    return {**fields, "lhs": str(lhs), "rhs": str(rhs)}
+
+
 def _check_word_pairs(
-    relation: str,
-    n: int,
-    shape: Shape,
-    pairs: Iterable[tuple[Optional[str], Word, Word]],
-    domain: str,
+    relation: str, n: int, shape: Shape, pairs: Iterable[WordPair], domain: str
 ) -> RelationReport:
-    """Compare each (name, lhs, rhs) pair; a pair named None reports no
-    ``instance`` field."""
-    lam = tuple(Partition(shape))
+    """Compare both words of each (name, lhs, rhs) pair on the domain.
+
+    The shape is checked once, here: ``word_perm`` takes a ``Partition``
+    as it is.
+    """
+    lam = Partition(shape)
     comparisons = (
-        (
-            word_perm(lhs, lam, n, domain),
-            word_perm(rhs, lam, n, domain),
-            {"lhs": str(lhs), "rhs": str(rhs)}
-            if name is None
-            else {"instance": name, "lhs": str(lhs), "rhs": str(rhs)},
-        )
-        for name, lhs, rhs in pairs
+        (word_perm(pair[1], lam, n, domain), word_perm(pair[2], lam, n, domain), pair)
+        for pair in pairs
     )
-    return _compare(relation, n, lam, domain, comparisons)
+    return _compare(relation, n, tuple(lam), domain, comparisons, _pair_fields)
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +184,12 @@ def _reflect(J: Interval, K: Interval) -> Interval:
     return Interval(J.a + J.b - K.b, J.a + J.b - K.a)
 
 
-def cactus_defining_pairs(n: int) -> list[tuple[str, CactusWord, CactusWord]]:
+# The word pairs of each relation depend on n alone, so each builder runs
+# once per n and returns a tuple, which no caller can change.
+
+
+@lru_cache(maxsize=None)
+def cactus_defining_pairs(n: int) -> tuple[tuple[str, CactusWord, CactusWord], ...]:
     """Both sides of every defining relation, as words.
 
     A disjoint pair is listed once, with J before K: "K J = J K" compares
@@ -190,10 +202,11 @@ def cactus_defining_pairs(n: int) -> list[tuple[str, CactusWord, CactusWord]]:
             pairs.append((f"{J}{K} disjoint", _cw(n, J, K), _cw(n, K, J)))
         elif _nested(J, K) and J != K:
             pairs.append((f"{J}{K} nested", _cw(n, J, K), _cw(n, _reflect(J, K), J)))
-    return pairs
+    return tuple(pairs)
 
 
-def bk_relation_pairs(n: int) -> list[tuple[str, BKWord, BKWord]]:
+@lru_cache(maxsize=None)
+def bk_relation_pairs(n: int) -> tuple[tuple[str, BKWord, BKWord], ...]:
     pairs = []
     e = _bw(n)
     for k in range(1, n):
@@ -213,30 +226,34 @@ def bk_relation_pairs(n: int) -> list[tuple[str, BKWord, BKWord]]:
         pairs.append(
             (f"(t1 q{k})^4", _bw(n, ("t", 1), ("q", k)) ** 4, e)
         )
-    return pairs
+    return tuple(pairs)
 
 
-def _star_pairs(n: int, e: int) -> list[tuple[str, BKWord, BKWord]]:
+@lru_cache(maxsize=None)
+def _star_pairs(n: int, e: int) -> tuple[tuple[str, BKWord, BKWord], ...]:
     """(t_k t_{k+1})^e against the identity, for 2 <= k <= n - 2."""
     one = _bw(n)
-    return [
+    return tuple(
         (f"(t{k} t{k + 1})^{e}", _bw(n, ("t", k), ("t", k + 1)) ** e, one)
         for k in range(2, n - 1)
-    ]
-
-
-# ---------------------------------------------------------------------------
-# The checks, each (n, shape) -> RelationReport.
-
-
-def check_cactus_defining(n: int, shape: Shape) -> RelationReport:
-    return _check_word_pairs(
-        "cactus-defining", n, shape, cactus_defining_pairs(n), "ssyt"
     )
 
 
-def check_xi_relations(n: int, shape: Shape) -> RelationReport:
-    """The two interval-involution relations: disjoint and nesting."""
+@lru_cache(maxsize=None)
+def _generators(n: int) -> tuple[CactusWord, ...]:
+    """The one-factor words c[a,b], in ``_intervals`` order."""
+    return tuple(_cw(n, J) for J in _intervals(n))
+
+
+@lru_cache(maxsize=None)
+def _atom_words(n: int, kind: str) -> tuple[BKWord, ...]:
+    """The one-atom words kind_1, ..., kind_{n-1}."""
+    return tuple(_bw(n, (kind, k)) for k in range(1, n))
+
+
+@lru_cache(maxsize=None)
+def _xi_pairs(n: int) -> tuple[tuple[str, CactusWord, CactusWord], ...]:
+    """The disjoint and the nesting relation of the interval involutions."""
     pairs = [
         (f"xi[{J.a},{J.b}] xi[{K.a},{K.b}] commute", _cw(n, J, K), _cw(n, K, J))
         for J, K in _interval_pairs(n)
@@ -251,7 +268,34 @@ def check_xi_relations(n: int, shape: Shape) -> RelationReport:
         for J, K in _interval_pairs(n)
         if _nested(J, K)
     ]
-    return _check_word_pairs("xi-relations", n, shape, pairs, "ssyt")
+    return tuple(pairs)
+
+
+@lru_cache(maxsize=None)
+def _reduced_pairs(n: int) -> tuple[tuple[str, CactusWord, CactusWord], ...]:
+    """The braid-like quotient relations, against the identity."""
+    if n < 3:
+        return ()
+    e = _cw(n)
+    return (
+        ("(c[1,2] c[2,3])^3", _cw(n, (1, 2), (2, 3)) ** 3, e),
+        ("(c[1,2] c[1,3])^6", _cw(n, (1, 2), (1, 3)) ** 6, e),
+    )
+
+
+# ---------------------------------------------------------------------------
+# The checks, each (n, shape) -> RelationReport.
+
+
+def check_cactus_defining(n: int, shape: Shape) -> RelationReport:
+    return _check_word_pairs(
+        "cactus-defining", n, shape, cactus_defining_pairs(n), "ssyt"
+    )
+
+
+def check_xi_relations(n: int, shape: Shape) -> RelationReport:
+    """The two interval-involution relations: disjoint and nesting."""
+    return _check_word_pairs("xi-relations", n, shape, _xi_pairs(n), "ssyt")
 
 
 def check_bk_relations(n: int, shape: Shape) -> RelationReport:
@@ -262,17 +306,19 @@ def check_bk_relations(n: int, shape: Shape) -> RelationReport:
 
 def check_pq_promotion(n: int, shape: Shape) -> RelationReport:
     """p_k acts as bounded promotion at k+1; q_k as xi_[1,k+1]."""
-    lam = tuple(Partition(shape))
+    shape = Partition(shape)
+    lam = tuple(shape)
 
     def comparisons():
-        for k in range(1, n):
+        words = zip(_atom_words(n, "p"), _atom_words(n, "q"))
+        for k, (p, q) in enumerate(words, start=1):
             yield (
-                word_perm(_bw(n, ("p", k)), lam, n, "ssyt"),
+                word_perm(p, shape, n, "ssyt"),
                 promotion_perm(lam, n, k + 1),
                 {"instance": f"p{k} vs promotion_{k + 1}"},
             )
             yield (
-                word_perm(_bw(n, ("q", k)), lam, n, "ssyt"),
+                word_perm(q, shape, n, "ssyt"),
                 interval_perm(lam, n, 1, k + 1),
                 {"instance": f"q{k} vs xi[1,{k + 1}]"},
             )
@@ -285,20 +331,17 @@ def check_chi_consistency(n: int, shape: Shape) -> RelationReport:
 
     That decides every cactus word: ``chi_translate`` works factor by factor
     and ``word_perm`` multiplies factor permutations, so on both sides a
-    word's permutation is the product of its factors' permutations.
+    word's permutation is the product of its factors' permutations.  The
+    translations are made by each check, not cached per n: they are what
+    the check is about.
     """
-    pairs = [(None, w, chi_translate(w)) for w in (_cw(n, J) for J in _intervals(n))]
+    pairs = [(None, w, chi_translate(w)) for w in _generators(n)]
     return _check_word_pairs("chi-consistency", n, shape, pairs, "ssyt")
 
 
 def check_reduced_cactus(n: int, shape: Shape) -> RelationReport:
     """The braid-like quotient relations act trivially on SYT."""
-    e = _cw(n)
-    pairs = [
-        ("(c[1,2] c[2,3])^3", _cw(n, (1, 2), (2, 3)) ** 3, e),
-        ("(c[1,2] c[1,3])^6", _cw(n, (1, 2), (1, 3)) ** 6, e),
-    ] if n >= 3 else []
-    return _check_word_pairs("reduced-cactus", n, shape, pairs, "syt")
+    return _check_word_pairs("reduced-cactus", n, shape, _reduced_pairs(n), "syt")
 
 
 def check_star_relation(n: int, shape: Shape) -> RelationReport:
@@ -517,9 +560,11 @@ def _child(shards: list[list[Job]], tickets: int, feed: int, send: int) -> NoRet
     leaves through ``os._exit``, so it never returns into the caller's
     stack; the exit status is 0 only once the payload is written."""
     import pickle
+    import signal
 
     code = 1
     try:
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
         os.close(feed)
         try:
             payload = pickle.dumps((_pull(shards, tickets), None))
@@ -536,6 +581,11 @@ def _child(shards: list[list[Job]], tickets: int, feed: int, send: int) -> NoRet
         os._exit(code)
 
 
+class _Terminated(BaseException):
+    """SIGTERM in the main process of a forked run, raised so that its
+    children are killed and reaped before the process dies."""
+
+
 def _run_forked(
     shards: list[list[Job]], workers: int
 ) -> list[tuple[Job, RelationReport]]:
@@ -544,8 +594,12 @@ def _run_forked(
     again; a child that ends without its payload raises ``RuntimeError``.
     Between its own shards this process reads every payload that is ready,
     so a child's failure is raised before the next shard here starts.
-    Whatever this process raises, every child is killed and reaped first."""
+    Whatever this process raises, every child is killed and reaped first.
+    For that, a SIGTERM to this process raises ``_Terminated`` while the
+    run lasts; once the children are gone, SIGTERM is delivered again with
+    its default action, so the process still dies by that signal."""
     # Imported here: a serial run and the CLI's start-up do not need them.
+    import gc
     import pickle
     import select
     import signal
@@ -580,30 +634,50 @@ def _run_forked(
     def poll() -> None:
         collect(select.select(list(children), [], [], 0)[0])
 
+    def terminate(signum, frame) -> NoReturn:
+        signal.signal(signal.SIGTERM, signal.SIG_IGN)  # clean up once
+        raise _Terminated
+
     try:
-        for _ in range(workers - 1):
-            results, send = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                _child(shards, tickets, feed, send)
-            os.close(send)
-            children[results] = pid
-        for i in range(len(shards)):
-            os.write(feed, i.to_bytes(_TICKET, "little"))
-        os.close(feed)
-        feed = -1
-        mine = _pull(shards, tickets, poll)
-        collect(list(children))
-        return mine + pairs
+        previous = signal.signal(signal.SIGTERM, terminate)
+    except ValueError:  # only the main thread may set a handler
+        previous = terminate
+    # Objects frozen before the forks are never scanned by the collector,
+    # so no process writes to their pages and copies them on that account.
+    gc.freeze()
+    try:
+        try:
+            for _ in range(workers - 1):
+                results, send = os.pipe()
+                pid = os.fork()
+                if pid == 0:
+                    _child(shards, tickets, feed, send)
+                os.close(send)
+                children[results] = pid
+            for i in range(len(shards)):
+                os.write(feed, i.to_bytes(_TICKET, "little"))
+            os.close(feed)
+            feed = -1
+            mine = _pull(shards, tickets, poll)
+            collect(list(children))
+            return mine + pairs
+        finally:
+            for fd in (tickets, feed):
+                if fd >= 0:
+                    os.close(fd)
+            for results, pid in children.items():
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                os.close(results)
+    except _Terminated:
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
+        os.kill(os.getpid(), signal.SIGTERM)
+        raise
     finally:
-        for fd in (tickets, feed):
-            if fd >= 0:
-                os.close(fd)
-        for results, pid in children.items():
-            with contextlib.suppress(ProcessLookupError):
-                os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            os.close(results)
+        gc.unfreeze()
+        if previous is not terminate:
+            signal.signal(signal.SIGTERM, previous)
 
 
 def batch_verify(config: RunConfig) -> Summary:

@@ -200,6 +200,46 @@ def test_verify_failure_exit_code(capsys):
     assert lines[-1]["summary"]["failed"] == 1
 
 
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (
+            ("verify", "relations", "--n", "3", "--shapes", "[[2,2]]"),
+            "no job for the shapes [[2, 2]] at n = 3..3",
+        ),
+        (
+            ("verify", "main-theorem", "--n", "1"),
+            "no job for the shapes all at n = 1..1",
+        ),
+        (
+            ("verify", "relations", "--n-min", "2", "--n-max", "3",
+             "--shapes", "[[2,2],[4]]"),
+            "no job for the shapes [[2, 2], [4]] at n = 2..3",
+        ),
+    ],
+    ids=["shape-of-another-size", "no-check-applies", "every-shape-unmatched"],
+)
+def test_verify_that_checks_nothing_exits_2(capsys, argv, error):
+    code = dispatch(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: nothing to verify: {error}\n"
+
+
+def test_verify_with_some_shapes_unmatched_runs_the_rest(capsys):
+    code, lines = run(
+        capsys,
+        "verify", "relations", "--n", "3", "--shapes", "[[2,2],[2,1]]",
+        "--relations", "star",
+    )
+    assert code == 0
+    assert lines == [
+        {"relation": "star", "n": 3, "shape": [2, 1], "status": "PASS"},
+        {"summary": {"checked": 1, "passed": 1, "failed": 0}},
+    ]
+
+
 def test_verify_repeated_relation_is_checked_once(capsys):
     code, lines = run(
         capsys,

@@ -32,6 +32,7 @@ from cactus_tableaux.group_actions import (
     parse_word,
     pi_ij_image,
     pi_k_image,
+    promotion_perm,
     word_perm,
 )
 from cactus_tableaux.gt_patterns import (
@@ -48,6 +49,7 @@ from cactus_tableaux.shapes import (
     enumerate_partitions,
 )
 from cactus_tableaux.sliding import (
+    _promote_rows,
     bounded_promotion,
     evacuation,
     interval_evacuation,
@@ -419,6 +421,37 @@ class TestSytTPerms:
                 assert (perm * perm).is_identity(), (lam, k)
 
 
+class TestSsytColumnView:
+    """t_k and pr_k on SSYT(lam, m), built from the Gelfand-Tsetlin column
+    view, against the row kernels run on every tableau, the GT-pattern
+    reflection and the public bounded promotion."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_equal_to_row_kernels_and_tableau_oracles(self, n):
+        for lam in map(tuple, enumerate_partitions(n)):
+            for m in range(1, 7):
+                tabs = ssyt_tuple(lam, m)
+                index = {T: i + 1 for i, T in enumerate(tabs)}
+                patterns = [to_pattern(T, m) for T in tabs]
+                for k in range(1, m):
+                    perm = bk_t_perm(lam, m, k)
+                    assert perm == _induced_perm(
+                        lam, m, lambda rows: _swap_rows(rows, k), f"t{k}"
+                    ), (lam, m, k)
+                    assert perm.images == tuple(
+                        index[from_pattern(bk_tau(P, k))] for P in patterns
+                    ), (lam, m, k)
+                    assert (perm * perm).is_identity(), (lam, m, k)
+                for k in range(1, m + 1):
+                    perm = promotion_perm(lam, m, k)
+                    assert perm == _induced_perm(
+                        lam, m, lambda rows: _promote_rows(rows, k), f"pr{k}"
+                    ), (lam, m, k)
+                    assert perm.images == tuple(
+                        index[bounded_promotion(T, k)] for T in tabs
+                    ), (lam, m, k)
+
+
 class TestOrderings:
     def test_paper_311_ordering_permutations(self):
         lam = Partition((3, 1, 1))
@@ -634,6 +667,22 @@ def syt_rule_on_a_corrupted_domain():
         group_actions._index = index
 
 
+def t_rule_on_a_corrupted_view():
+    # The column view of SSYT((2, 1), 3) keeps its first key only, so t1
+    # maps the other tableaux to keys outside the domain.
+    view = group_actions._column_view
+
+    def corrupted(lam, m):
+        whole = view(lam, m)
+        return whole._replace(position=dict(list(whole.position.items())[:1]))
+
+    group_actions._column_view = corrupted
+    try:
+        group_actions.bk_t_perm((2, 1), 3, 1)
+    finally:
+        group_actions._column_view = view
+
+
 def domain_without_its_first_tableau():
     rows = tableaux._content_rows
     tableaux._content_rows = lambda lam, counts: rows(lam, counts)[1:]
@@ -651,10 +700,11 @@ calls = {
     "partial_evacuation": lambda: sliding.partial_evacuation(T, 3),
     "evacuation": lambda: sliding.evacuation(T),
     "interval_evacuation": lambda: sliding.interval_evacuation(T, (2, 3)),
-    "bk_t_perm": lambda: group_actions.bk_t_perm((2, 1), 3, 1),
+    "bk_t_perm on a corrupted view": t_rule_on_a_corrupted_view,
     "bk_t_perm on SYT": syt_rule_on_a_corrupted_domain,
     "domain count": domain_without_its_first_tableau,
     "promotion_perm": lambda: group_actions.promotion_perm((2, 1), None, 2),
+    "promotion_perm key cut": lambda: group_actions.promotion_perm((2, 1), 3, 2),
     "act t2": lambda: group_actions.act(group_actions.parse_word("t2", 3), T),
     "act p2": lambda: group_actions.act(group_actions.parse_word("p2", 3), T),
     "act q2": lambda: group_actions.act(group_actions.parse_word("q2", 3), T),
@@ -678,7 +728,8 @@ for broken in (reversed_row, one_row):
 def test_kernel_post_conditions_hold_under_python_O():
     """With the row kernels replaced by a broken stand-in, every layer that
     runs them still raises, in an interpreter that strips assert statements;
-    so do the SYT rule for t_k on a corrupted domain and the domain count.
+    so do the SYT rule for t_k on a corrupted domain, the SSYT rule for t_k
+    on a corrupted column view, and the domain count.
     One stand-in breaks semistandardness; the other keeps it and changes
     the shape, which only the same-shape half of ``_check_image`` (or, on a
     domain, the image-in-domain check) can see."""

@@ -1,5 +1,6 @@
 """The relation checks and the batch verification driver."""
 
+import contextlib
 import importlib
 import inspect
 import io
@@ -305,6 +306,71 @@ def test_an_exception_here_kills_the_children_at_once(forked_check):
     _assert_no_child_left()
 
 
+SIGTERM_RUN = """
+import os, sys, time
+from cactus_tableaux import verify
+from cactus_tableaux.cli import dispatch
+
+def slow(n, shape):
+    print("shard", os.getpid(), file=sys.stderr, flush=True)
+    time.sleep(60)
+
+verify.CHECKS["cactus-defining"] = verify.Check(slow)
+sys.exit(dispatch(sys.argv[1:]))
+"""
+
+
+def _alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+def test_sigterm_kills_and_reaps_the_children():
+    """SIGTERM to the main process of a forked run, once it and its child
+    are both mid-shard: the child is gone soon after, and the main process
+    still dies by SIGTERM, with nothing on stdout."""
+    import signal
+
+    src = str(Path(cactus_tableaux.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", SIGTERM_RUN, *VERIFY_N3],
+        env={**os.environ, "PYTHONPATH": path},
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    pids: set[int] = set()
+    try:
+        seen, deadline = b"", time.monotonic() + 60
+        while seen.count(b"\n") < 2:
+            wait = max(0.0, deadline - time.monotonic())
+            ready = select.select([proc.stderr], [], [], wait)[0]
+            chunk = os.read(proc.stderr.fileno(), 4096) if ready else b""
+            assert chunk, seen  # the run ended, or no shard started in time
+            seen += chunk
+        pids = {int(line.split()[1]) for line in seen.decode().splitlines()}
+        assert proc.pid in pids and len(pids) == 2
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=30) == -signal.SIGTERM
+        (child,) = pids - {proc.pid}
+        deadline = time.monotonic() + 10
+        while _alive(child) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not _alive(child)
+        assert proc.stdout.read() == b""  # a live child would hold it open
+    finally:
+        for pid in pids - {proc.pid}:
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+        proc.kill()
+        proc.wait()
+        proc.stdout.close()
+        proc.stderr.close()
+
+
 def _cached_domains() -> list[int]:
     return [cache.cache_info().currsize for cache in _DOMAIN_CACHES]
 
@@ -326,7 +392,9 @@ def test_every_domain_cache_is_registered():
     assert sorted(cache.__name__ for cache in _DOMAIN_CACHES) == sorted(domain)
     assert all(caches[name] in _DOMAIN_CACHES for name in domain)
     assert set(caches) - domain == {
-        "_partitions", "_mn", "character_table", "_class_sizes"
+        "_partitions", "_mn", "character_table", "_class_sizes",
+        "cactus_defining_pairs", "bk_relation_pairs", "_star_pairs",
+        "_xi_pairs", "_reduced_pairs", "_generators", "_atom_words",
     }
 
 
