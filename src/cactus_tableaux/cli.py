@@ -4,6 +4,9 @@ Everything is emitted as JSON lines on stdout (or to --out).  Exit codes:
 0 success / all checks pass, 1 at least one unexpected verification
 failure, 2 usage or input error (an input too deep for the recursion limit
 included, and a verify run whose shapes, sizes and checks leave no job).
+A Ctrl-C prints one line on stderr and ends the process by SIGINT, as a
+SIGTERM ends it by SIGTERM; a forked verify run kills and reaps its
+children first in both cases.
 """
 
 from __future__ import annotations
@@ -287,7 +290,21 @@ def _discard(path: str) -> None:
 
 
 def main() -> None:
-    sys.exit(dispatch())
+    try:
+        code = dispatch()
+    except KeyboardInterrupt:
+        # One line instead of a traceback.  Then the process dies by SIGINT
+        # with its default action, as after an uncaught KeyboardInterrupt,
+        # so its wait status stays; stdout is flushed first, as exit does.
+        import signal
+
+        print("error: interrupted", file=sys.stderr)
+        with contextlib.suppress(OSError, ValueError):
+            sys.stdout.flush()
+        signal.signal(signal.SIGINT, signal.SIG_DFL)
+        os.kill(os.getpid(), signal.SIGINT)
+        raise
+    sys.exit(code)
 
 
 if __name__ == "__main__":

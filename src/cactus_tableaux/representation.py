@@ -1,7 +1,9 @@
 """Characters, Kostka numbers, and the hook-shape module decomposition.
 
-The symmetric-group character values come from the signed border-strip
-recursion; the test suite carries a fully independent oracle (fixed
+The symmetric-group character table is built one column at a time by the
+Murnaghan–Nakayama rule: the column of a cycle type rho comes from the
+cached column of rho[1:], with each partition held as an int mask of its
+beta-numbers.  The test suite carries a fully independent oracle (fixed
 tabloids plus unitriangular Kostka inversion) that never touches this
 code path.
 """
@@ -76,40 +78,52 @@ def kostka_number(mu: Partition, nu: Composition) -> int:
     return len(_content_rows(mu, nu))
 
 
-def _beta(mu: Partition) -> tuple[int, ...]:
-    """The len(mu) beta-numbers mu_i + len(mu) - i, strictly decreasing."""
-    r = len(mu)
-    return tuple(p + r - 1 - i for i, p in enumerate(mu))
+def _mask(mu: tuple[int, ...], beads: int) -> int:
+    """The beta-numbers mu_i + beads - i (i = 1..beads, mu padded with
+    zeros) as the set bits of an int."""
+    mask = (1 << beads - len(mu)) - 1  # the zero parts fill the lowest slots
+    for i, p in enumerate(mu):
+        mask |= 1 << p + beads - 1 - i
+    return mask
 
 
 @lru_cache(maxsize=None)
-def _mn(beta: tuple[int, ...], rho: tuple[int, ...]) -> int:
-    """The character at cycle type rho of the irreducible with beta-numbers
-    beta, by border-strip removal.
+def _bead_index(m: int) -> dict[int, int]:
+    """The position of each partition of m in ``enumerate_partitions``
+    order, keyed by its m-bead mask; the keys are in that order too."""
+    return {_mask(mu, m): i for i, mu in enumerate(enumerate_partitions(m))}
 
-    Removing a border strip of length rho[0] moves one beta-number b down
-    to a free slot b - rho[0]; the strip's height is the number of
-    beta-numbers it jumps over.  The new tuple keeps the length of beta and
-    its decreasing order, so no normalisation is needed, and once one
-    beta-number would go below 0 every later one would too.
+
+@lru_cache(maxsize=None)
+def _column(rho: tuple[int, ...]) -> tuple[int, ...]:
+    """The character values at cycle type rho of every irreducible of
+    S_|rho|, in ``enumerate_partitions`` order.
+
+    Murnaghan–Nakayama: removing a border strip of length h = rho[0] moves
+    one bead of the mask from b + h down to a free slot b, so the strips
+    are the set bits b of ``mask >> h & ~mask``; the strip's height is the
+    number of beads it jumps over.  The partition left has size |rho| - h,
+    so with |rho| beads its h lowest slots hold beads; shifting them out
+    gives its own mask, whose value is read from the column of rho[1:].
     """
     if not rho:
-        return 1  # beta is the empty partition's, as the sizes agree
-    part, rest = rho[0], rho[1:]
-    r = len(beta)
-    total = 0
-    for i, b in enumerate(beta):
-        nb = b - part
-        if nb < 0:
-            break
-        j = i + 1
-        while j < r and beta[j] > nb:
-            j += 1
-        if j < r and beta[j] == nb:
-            continue  # the slot is taken: no strip starts here
-        value = _mn(beta[:i] + beta[i + 1 : j] + (nb,) + beta[j:], rest)
-        total += -value if (j - i - 1) % 2 else value
-    return total
+        return (1,)  # the empty partition's
+    h, m = rho[0], sum(rho)
+    values = _column(rho[1:])
+    index = _bead_index(m - h)
+    column = []
+    for mask in _bead_index(m):
+        total = 0
+        free = mask >> h & ~mask
+        while free:
+            low = free & -free
+            free ^= low
+            high = low << h
+            jumped = mask & (high - (low << 1))
+            value = values[index[(mask ^ high | low) >> h]]
+            total += -value if jumped.bit_count() & 1 else value
+        column.append(total)
+    return tuple(column)
 
 
 def mn_character(mu: Partition, rho: CycleType) -> int:
@@ -118,7 +132,7 @@ def mn_character(mu: Partition, rho: CycleType) -> int:
     rho = Partition(rho)
     if mu.size != rho.size:
         raise ValueError(f"|{mu}| != |{rho}|")
-    return _mn(_beta(mu), rho)
+    return _column(tuple(rho))[_bead_index(mu.size)[_mask(mu, mu.size)]]
 
 
 def class_size(rho: CycleType) -> int:
@@ -159,9 +173,7 @@ def character_table(m: int) -> CharacterValueTable:
     if m < 1:
         raise ValueError("degree must be >= 1")
     parts = tuple(enumerate_partitions(m))
-    values = tuple(
-        tuple(_mn(beta, rho) for rho in parts) for beta in map(_beta, parts)
-    )
+    values = tuple(zip(*(_column(tuple(rho)) for rho in parts)))
     return CharacterValueTable(degree=m, partitions=parts, values=values)
 
 

@@ -318,6 +318,10 @@ def _content_rows(lam: tuple[int, ...], counts: tuple[int, ...]) -> list[Rows]:
             above = c
 
     place(0, depth)
+    # place refers to itself through its closure, and that cycle holds
+    # ``out``: deleting the name breaks it, so the rows are freed with the
+    # domain and not at the next cyclic collection.
+    del place
     out.sort()
     return out
 
@@ -355,6 +359,7 @@ def _ssyt_rows(lam: tuple[int, ...], m: int) -> list[Rows]:
             row.pop()
 
     fill(0)
+    del fill  # break fill's cycle through its closure, as in _content_rows
     return out
 
 

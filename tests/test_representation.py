@@ -1,9 +1,11 @@
 """Characters, decompositions, and the fold map."""
 
 import math
+import operator
 
 import pytest
 
+from cactus_tableaux import representation
 from cactus_tableaux.representation import (
     HookShape,
     character_table,
@@ -121,6 +123,33 @@ class TestCharacters:
                     for rho in table.partitions
                 )
                 assert inner == (order if mu == nu else 0)
+
+    @pytest.mark.parametrize("m", range(8, 13))
+    def test_column_orthogonality(self, m):
+        # sum over mu of chi^mu(rho) chi^mu(sigma) = z_rho delta_{rho,sigma},
+        # with z_rho = m! / |class of rho|.
+        table = character_table(m)
+        columns = list(zip(*table.values))
+        for j, (rho, col) in enumerate(zip(table.partitions, columns)):
+            z = math.factorial(m) // class_size(rho)
+            for k, other in enumerate(columns[j:], j):
+                inner = sum(map(operator.mul, col, other))
+                assert inner == (z if k == j else 0), (rho, table.partitions[k])
+
+    def test_a_table_leaves_one_memo_entry_per_column(self):
+        # From cold caches, the table of S_11 keeps one column per suffix
+        # of a cycle type (and one bead map per size), not one entry per
+        # (irreducible, suffix) pair.
+        memos = [
+            obj
+            for obj in vars(representation).values()
+            if hasattr(obj, "cache_info")
+            and obj.__module__ == representation.__name__
+        ]
+        for memo in memos:
+            memo.cache_clear()
+        character_table(11)
+        assert sum(memo.cache_info().currsize for memo in memos) < 300
 
     @pytest.mark.parametrize("m", range(1, 8))
     def test_dimension_sum_of_squares(self, m):

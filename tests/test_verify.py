@@ -8,6 +8,7 @@ import json
 import os
 import pkgutil
 import select
+import signal
 import subprocess
 import sys
 import time
@@ -306,17 +307,19 @@ def test_an_exception_here_kills_the_children_at_once(forked_check):
     _assert_no_child_left()
 
 
-SIGTERM_RUN = """
-import os, sys, time
+SLOW_RUN = """
+import os, time
 from cactus_tableaux import verify
-from cactus_tableaux.cli import dispatch
+from cactus_tableaux.cli import main
 
 def slow(n, shape):
-    print("shard", os.getpid(), file=sys.stderr, flush=True)
+    # One write per line: with PYTHONUNBUFFERED set, print writes each
+    # piece on its own, and the two processes' pieces would interleave.
+    os.write(2, f"shard {os.getpid()}\\n".encode())
     time.sleep(60)
 
 verify.CHECKS["cactus-defining"] = verify.Check(slow)
-sys.exit(dispatch(sys.argv[1:]))
+main()
 """
 
 
@@ -328,16 +331,15 @@ def _alive(pid: int) -> bool:
     return True
 
 
-def test_sigterm_kills_and_reaps_the_children():
-    """SIGTERM to the main process of a forked run, once it and its child
-    are both mid-shard: the child is gone soon after, and the main process
-    still dies by SIGTERM, with nothing on stdout."""
-    import signal
-
+def _signal_mid_run(signum: int) -> bytes:
+    """Send signum to the main process of a forked CLI run, once it and
+    its child are both mid-shard.  The main process must die by that
+    signal, the child must be gone soon after, and stdout must stay empty;
+    returns what stderr got after the two shard lines."""
     src = str(Path(cactus_tableaux.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.Popen(
-        [sys.executable, "-c", SIGTERM_RUN, *VERIFY_N3],
+        [sys.executable, "-c", SLOW_RUN, *VERIFY_N3],
         env={**os.environ, "PYTHONPATH": path},
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
@@ -351,16 +353,18 @@ def test_sigterm_kills_and_reaps_the_children():
             chunk = os.read(proc.stderr.fileno(), 4096) if ready else b""
             assert chunk, seen  # the run ended, or no shard started in time
             seen += chunk
-        pids = {int(line.split()[1]) for line in seen.decode().splitlines()}
+        *shards, rest = seen.split(b"\n", 2)
+        pids = {int(line.split()[1]) for line in shards}
         assert proc.pid in pids and len(pids) == 2
-        proc.send_signal(signal.SIGTERM)
-        assert proc.wait(timeout=30) == -signal.SIGTERM
+        proc.send_signal(signum)
+        assert proc.wait(timeout=30) == -signum
         (child,) = pids - {proc.pid}
         deadline = time.monotonic() + 10
         while _alive(child) and time.monotonic() < deadline:
             time.sleep(0.05)
         assert not _alive(child)
         assert proc.stdout.read() == b""  # a live child would hold it open
+        return rest + proc.stderr.read()
     finally:
         for pid in pids - {proc.pid}:
             with contextlib.suppress(ProcessLookupError):
@@ -369,6 +373,20 @@ def test_sigterm_kills_and_reaps_the_children():
         proc.wait()
         proc.stdout.close()
         proc.stderr.close()
+
+
+def test_sigterm_kills_and_reaps_the_children():
+    """SIGTERM to the main process of a forked run: the child is gone soon
+    after, and the main process still dies by SIGTERM, with nothing on
+    stdout or stderr."""
+    assert _signal_mid_run(signal.SIGTERM) == b""
+
+
+def test_sigint_prints_one_line_and_kills_and_reaps_the_children():
+    """A Ctrl-C to the main process of a forked run: the child is gone soon
+    after, and the main process still dies by SIGINT, with nothing on
+    stdout and one line, not a traceback, on stderr."""
+    assert _signal_mid_run(signal.SIGINT) == b"error: interrupted\n"
 
 
 def _cached_domains() -> list[int]:
@@ -392,9 +410,10 @@ def test_every_domain_cache_is_registered():
     assert sorted(cache.__name__ for cache in _DOMAIN_CACHES) == sorted(domain)
     assert all(caches[name] in _DOMAIN_CACHES for name in domain)
     assert set(caches) - domain == {
-        "_partitions", "_mn", "character_table", "_class_sizes",
-        "cactus_defining_pairs", "bk_relation_pairs", "_star_pairs",
-        "_xi_pairs", "_reduced_pairs", "_generators", "_atom_words",
+        "_partitions", "_bead_index", "_column", "character_table",
+        "_class_sizes", "cactus_defining_pairs", "bk_relation_pairs",
+        "_star_pairs", "_xi_pairs", "_reduced_pairs", "_generators",
+        "_atom_words",
     }
 
 
