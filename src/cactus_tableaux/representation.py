@@ -231,20 +231,18 @@ def schutzenberger_perm_character(lam: Partition) -> dict[CycleType, int]:
         raise ValueError("(2,1) is the outlying case; no S_{n-1} action")
     n = lam.size
     blocks: dict[tuple[int, int], Permutation] = {}
-
-    def block(a: int, b: int) -> Permutation:
-        if (a, b) not in blocks:
-            t_b = bk_t_perm(tuple(lam), None, b)
-            blocks[a, b] = t_b if b == a + 1 else block(a, b - 1) * t_b
-        return blocks[a, b]
-
     out = {}
     for rho in enumerate_partitions(n - 1):
-        factors = [
-            block(end - length + 1, end)
-            for length, end in zip(rho, itertools.accumulate(rho))
-            if length >= 2
-        ]
+        factors = []
+        for length, end in zip(rho, itertools.accumulate(rho)):
+            if length < 2:
+                continue
+            a = end - length + 1
+            for b in range(a + 1, end + 1):  # B(a, b) = B(a, b-1) t_b
+                if (a, b) not in blocks:
+                    t_b = bk_t_perm(tuple(lam), None, b)
+                    blocks[a, b] = t_b if b == a + 1 else blocks[a, b - 1] * t_b
+            factors.append(blocks[a, end])
         if not factors:
             out[rho] = len(_index(tuple(lam), None))
             continue

@@ -201,7 +201,9 @@ def _partitions(n: int) -> tuple[Partition, ...]:
             yield from gen(rest - p, p, prefix)
             prefix.pop()
 
-    return tuple(gen(n, n, [])) if n > 0 else (Partition(),)
+    out = tuple(gen(n, n, [])) if n > 0 else (Partition(),)
+    del gen  # break gen's cycle through its closure, as in tableaux._content_rows
+    return out
 
 
 class Permutation:

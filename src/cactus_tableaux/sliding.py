@@ -115,7 +115,9 @@ def jdt_all_rectifications(T: Tableau) -> set[Tableau]:
         seen[k] = out
         return out
 
-    return explore(_to_grid(T), list(T.inner))
+    out = explore(_to_grid(T), list(T.inner))
+    del explore  # break explore's cycle through its closure, which holds ``seen``
+    return out
 
 
 def promotion(T: Tableau, m: int) -> Tableau:

@@ -470,6 +470,7 @@ def enumerate_tabloids(mu: Composition) -> list[Tabloid]:
             rows.pop()
 
     assign(0, frozenset(range(1, n + 1)), [])
+    del assign  # break assign's cycle through its closure, as in _content_rows
     return results
 
 

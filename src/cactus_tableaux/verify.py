@@ -71,7 +71,7 @@ from .representation import (
     kostka_vector,
 )
 
-HARD_CAP = 10
+HARD_CAP = 9  # the largest n a run takes without allow_large: n = 10 is 30.6M SSYT
 
 Shape = tuple[int, ...]
 Job = tuple[int, Shape, str]  # (n, shape, check)

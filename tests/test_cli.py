@@ -168,6 +168,16 @@ def test_malformed_input_exits_2_with_one_line(capsys, argv):
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["relations", "main-theorem"])
+def test_verify_n_10_without_allow_large_exits_2(capsys, command):
+    # n = 10 is about 30.6M SSYT: refused up front, before anything is built.
+    code = dispatch(["verify", command, "--n-min", "9", "--n-max", "10"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: n > 9 needs the explicit large-run override\n"
+
+
 def test_verify_relations_pass(capsys):
     code, lines = run(
         capsys,

@@ -3,7 +3,6 @@
 import pytest
 
 from cactus_tableaux.gt_patterns import (
-    _swap_rows,
     GTPattern,
     Strip,
     bk_tau,
@@ -95,51 +94,6 @@ class TestTau:
             P = to_pattern(T, 4)
             for k in (1, 2, 3):
                 assert bk_tau(bk_tau(P, k), k) == P
-
-    def test_intertwines_with_strip_swap(self):
-        # the bijection carries the pattern reflection to the strip swap
-        for size in range(1, 7):
-            for lam in enumerate_partitions(size):
-                for T in enumerate_ssyt(lam, 4):
-                    P = to_pattern(T, 4)
-                    for k in (1, 2, 3):
-                        assert from_pattern(bk_tau(P, k)) == strip_swap(T, k)
-
-    def test_row_kernel_matches_pattern_reflection(self):
-        """The strip-swap kernel alone, with no check around it, against
-        bk_tau through the bijection: every T in SSYT(lam, m), |lam| <= 5,
-        m <= 5, 1 <= k < m."""
-        checked = 0
-        for size in range(0, 6):
-            for lam in enumerate_partitions(size):
-                for m in range(2, 6):
-                    for T in enumerate_ssyt(lam, m):
-                        P = to_pattern(T, m)
-                        for k in range(1, m):
-                            expected = from_pattern(bk_tau(P, k)).rows
-                            assert _swap_rows(T.rows, k) == expected, (T, k)
-                            checked += 1
-        assert checked > 6_000
-
-    def test_row_kernel_below_its_window_matches_pattern_reflection(self):
-        """The strip-swap kernel alone on every level k whose letters k and
-        k + 1 end above the last row, which then holds neither (its first
-        entry is above k + 1): every such (T, k) with T in SSYT(lam, m),
-        |lam| <= 6, m <= 6, 1 <= k < m."""
-        checked = 0
-        for size in range(0, 7):
-            for lam in enumerate_partitions(size):
-                for m in range(2, 7):
-                    for T in enumerate_ssyt(lam, m):
-                        if not T.rows:
-                            continue
-                        P = to_pattern(T, m)
-                        for k in range(1, min(m, T.rows[-1][0] - 1)):
-                            expected = from_pattern(bk_tau(P, k)).rows
-                            assert _swap_rows(T.rows, k) == expected, (T, k)
-                            checked += 1
-        assert checked > 24_000
-
 
 class TestStrips:
     def test_figure_swap(self):

@@ -33,6 +33,10 @@ from cactus_tableaux.tableaux import (
     _ssyt_rows,
 )
 
+from cactus_tableaux import shapes
+from cactus_tableaux.representation import schutzenberger_perm_character
+from cactus_tableaux.sliding import jdt_all_rectifications
+
 from helpers import semistandard_oracle, subpartitions
 
 PAPER_T = Tableau(((1, 1, 2, 3), (2, 2, 3), (4, 4), (5,)))
@@ -372,3 +376,27 @@ def test_a_dropped_domain_is_freed_without_the_collector():
         gc.enable()
     assert built > 10 * 2**20
     assert left < built / 8, (built, left)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: schutzenberger_perm_character(Partition((4, 1, 1))),
+        lambda: enumerate_tabloids(Composition((2, 2))),
+        lambda: jdt_all_rectifications(Tableau(rows=((1,),), inner=(1,))),
+        lambda: shapes._partitions.__wrapped__(6),
+    ],
+    ids=["perm-character", "tabloids", "all-rectifications", "partitions"],
+)
+def test_a_call_leaves_nothing_for_the_collector(call):
+    # A recursive closure refers to itself through its cell, and that cycle
+    # holds all it closes over (the block permutations of the character,
+    # for one) until a cyclic collection; with the collector off, for good.
+    gc.collect()
+    gc.disable()
+    try:
+        call()
+        left = gc.collect()
+    finally:
+        gc.enable()
+    assert left == 0

@@ -58,6 +58,13 @@ class TestRunConfig:
             make_config(n_max=HARD_CAP + 1)
         make_config(n_min=1, n_max=HARD_CAP + 1, allow_large=True)
 
+    def test_n_10_needs_the_large_run_override(self):
+        # n = 10 holds about 30.6M SSYT: refused by default, whatever HARD_CAP is.
+        with pytest.raises(ValueError, match="large-run override"):
+            make_config(n_min=10, n_max=10)
+        make_config(n_min=10, n_max=10, allow_large=True)
+        make_config(n_min=9, n_max=9)
+
     def test_unknown_relation(self):
         with pytest.raises(ValueError):
             make_config(relations=("nope",))
