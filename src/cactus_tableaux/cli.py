@@ -161,6 +161,14 @@ def _cmd_verify(args, stream) -> int:
             f"nothing to verify: no job for the shapes {named}"
             f" at n = {config.n_min}..{config.n_max}"
         )
+    if not isinstance(config.shapes, str):
+        for shape in dict.fromkeys(map(Partition, config.shapes)):
+            if not config.n_min <= shape.size <= config.n_max:
+                print(
+                    f"note: shape {list(shape)} has size {shape.size}, outside"
+                    f" n = {config.n_min}..{config.n_max}; not checked",
+                    file=sys.stderr,
+                )
     return _emit_summary(summary, stream)
 
 

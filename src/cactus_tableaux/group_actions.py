@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import operator
 import re
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from functools import reduce
 from typing import Iterable, NamedTuple, Optional, Union
 
@@ -429,38 +429,45 @@ def _syt_t_perms(lam: tuple[int, ...]) -> tuple[Permutation, ...]:
         (k+1)-th letters exchanged (w itself when k and k+1 share a row);
     (3) that swapped word is a lattice word unless k+1 is directly below k.
 
-    So the image is the position of the swapped word, or T itself when the
-    swapped word is outside the domain.  That fixed branch is the rule's
-    post-condition: it raises AssertionError, in every run mode, unless k+1
-    really sits directly below k (next row, same column).  ``_swap_rows``
-    is the independent oracle the tests compare it with.  The word map
-    lives only for the build.
+    For the build, each row word is one int, its key: the digit of x is
+    row(x), of weight d^(x-1) in base d = max(len(lam), 2).  Exchanging
+    the digits a of k and b of k+1 adds (b - a)(d^(k-1) - d^k) to the key,
+    which is nothing when a = b; that shift is tabled by the digit pair
+    a + b d, which is key // d^(k-1) % d^2.  So the image is the tableau
+    with the shifted key, or T itself when no tableau has it.  That fixed
+    branch is the rule's post-condition: it raises AssertionError, in
+    every run mode, unless k+1 really sits directly below k, in row
+    b = a + 1 and in the column of k, which ``bisect_left`` reads off both
+    rows of T.  ``_swap_rows`` is the independent oracle the tests compare
+    it with.  The keys live only for the build.
     """
     n = sum(lam)
-    words = []
-    for rows in _index(lam, None):
-        w = [0] * n
-        for r, row in enumerate(rows):
-            for x in row:
-                w[x - 1] = r
-        words.append(tuple(w))
-    position = {w: i for i, w in enumerate(words)}
+    d = max(len(lam), 2)
+    weight = (0, *(d**e for e in range(n)))  # weight[x] = d^(x-1)
+    tableaux = list(_index(lam, None))
+    keys = [0] * len(tableaux)
+    for r in range(1, len(lam)):  # row 0 adds nothing
+        row_of = [rows[r] for rows in tableaux]
+        part = {row: r * sum(map(weight.__getitem__, row)) for row in set(row_of)}
+        keys = list(map(operator.add, keys, map(part.__getitem__, row_of)))
+    position = {key: i for i, key in enumerate(keys, 1)}
+    pairs = d * d
     perms = []
     for k in range(1, n):
-        images = []
-        for i, w in enumerate(words):
-            a, b = w[k - 1], w[k]
-            j = position.get(w[: k - 1] + (b, a) + w[k + 1 :]) if a != b else i
-            if j is None:
-                # k+1 is directly below k: the next row, and as many
-                # entries before it in its row as before k in k's row.
-                before = w[: k - 1]
-                if not (b == a + 1 and before.count(a) == before.count(b)):
+        low, high = weight[k], weight[k + 1]
+        shift = [(p // d - p % d) * (low - high) for p in range(pairs)]
+        images = [position.get(key + shift[key // low % pairs]) for key in keys]
+        for i, image in enumerate(images):
+            if image is None:
+                rows, a, b = tableaux[i], keys[i] // low % d, keys[i] // high % d
+                if not (
+                    b == a + 1
+                    and bisect_left(rows[a], k) == bisect_left(rows[b], k + 1)
+                ):
                     raise AssertionError(
-                        f"t{k} finds no image for the SYT with row word {w} of {lam}"
+                        f"t{k} finds no image for the SYT {rows} of {lam}"
                     )
-                j = i
-            images.append(j + 1)
+                images[i] = i + 1
         perms.append(Permutation(images))
     return tuple(perms)
 

@@ -10,10 +10,9 @@ code path.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 from .shapes import (
     Composition,
@@ -217,10 +216,16 @@ def schutzenberger_perm_character(lam: Partition) -> dict[CycleType, int]:
     the block acts as B(a, b) = t_{a+1} ... t_b = B(a, b-1) t_b, one product
     from the block a letter shorter; the blocks are shared between classes.
     Blocks are disjoint and at least two letters apart, and t_k t_l = t_l t_k
-    for |k - l| >= 2, so the order of the blocks does not matter.  The
-    identity class, which has no block, fixes every tableau: its value is
-    the size of the enumerated domain, which ``decompose_schutzenberger``
-    then checks against the hook-length formula.
+    for |k - l| >= 2, so the order of the blocks does not matter; they are
+    multiplied left to right.  Cycles of length 1 add no block, and they
+    come last in rho, so rho's element is the product over its leading
+    parts of length >= 2.  Classes come in ``enumerate_partitions`` order,
+    and many share their leading parts: the product of the blocks of each
+    prefix (rho_1, ..., rho_i) is kept for the call, so a class costs one
+    product beyond its longest kept prefix.  The identity class, which has
+    no block, fixes every tableau: its value is the size of the enumerated
+    domain, which ``decompose_schutzenberger`` then checks against the
+    hook-length formula.
     """
     lam = Partition(lam)
     # The hook guard: it raises ValueError off hooks, where the t_k give no
@@ -231,22 +236,25 @@ def schutzenberger_perm_character(lam: Partition) -> dict[CycleType, int]:
         raise ValueError("(2,1) is the outlying case; no S_{n-1} action")
     n = lam.size
     blocks: dict[tuple[int, int], Permutation] = {}
+    prefixes: dict[tuple[int, ...], Permutation] = {}
     out = {}
     for rho in enumerate_partitions(n - 1):
-        factors = []
-        for length, end in zip(rho, itertools.accumulate(rho)):
-            if length < 2:
-                continue
-            a = end - length + 1
-            for b in range(a + 1, end + 1):  # B(a, b) = B(a, b-1) t_b
-                if (a, b) not in blocks:
-                    t_b = bk_t_perm(tuple(lam), None, b)
-                    blocks[a, b] = t_b if b == a + 1 else blocks[a, b - 1] * t_b
-            factors.append(blocks[a, end])
-        if not factors:
+        cycles = tuple(length for length in rho if length >= 2)
+        if not cycles:
             out[rho] = len(_index(tuple(lam), None))
             continue
-        images = reduce(operator.mul, factors).images
+        product, a = None, 1
+        for i, length in enumerate(cycles, 1):
+            prefix, end = cycles[:i], a + length - 1
+            if prefix not in prefixes:
+                for b in range(a + 1, end + 1):  # B(a, b) = B(a, b-1) t_b
+                    if (a, b) not in blocks:
+                        t_b = bk_t_perm(tuple(lam), None, b)
+                        blocks[a, b] = t_b if b == a + 1 else blocks[a, b - 1] * t_b
+                block = blocks[a, end]
+                prefixes[prefix] = block if product is None else product * block
+            product, a = prefixes[prefix], end + 1
+        images = product.images
         out[rho] = sum(map(operator.eq, images, range(1, len(images) + 1)))
     return out
 
@@ -265,7 +273,7 @@ def decompose_schutzenberger(lam: Partition) -> MultiplicityVector:
     ]
     mults = []
     for mu, values in zip(table.partitions, table.values):
-        total = sum(w * v for w, v in zip(weights, values))
+        total = sum(map(operator.mul, weights, values))
         if total % order != 0 or total < 0:
             raise ArithmeticError(
                 f"non-integral or negative multiplicity for {mu}: {total}/{order}"
@@ -281,9 +289,10 @@ def kostka_vector(lam: Partition) -> MultiplicityVector:
     """The Kostka side of the decomposition: mu -> K_{mu, tilde}."""
     hook = HookShape.from_partition(Partition(lam))
     n = hook.partition.size
+    # Each mu comes from enumerate_partitions and tilde from HookShape, so
+    # kostka_number's checks of its arguments would add nothing here.
     mults = tuple(
-        (mu, kostka_number(mu, hook.tilde))
-        for mu in enumerate_partitions(n - 1)
+        (mu, len(_content_rows(mu, hook.tilde))) for mu in enumerate_partitions(n - 1)
     )
     return MultiplicityVector(degree=n - 1, mults=mults)
 

@@ -250,6 +250,25 @@ def test_verify_with_some_shapes_unmatched_runs_the_rest(capsys):
     ]
 
 
+def test_verify_names_each_shape_of_another_size_on_stderr(capsys):
+    """The run goes on with the shapes that match; each explicit shape of a
+    size outside n-min..n-max gets one stderr line, once however often it
+    is given, and stdout and the exit code stay as they are."""
+    code = dispatch([
+        "verify", "main-theorem", "--n", "5",
+        "--shapes", "[[3,1],[4,1],[3,1,0],[2,2,2]]",
+    ])
+    captured = capsys.readouterr()
+    assert code == 0
+    lines = [json.loads(line) for line in captured.out.splitlines()]
+    assert [r["shape"] for r in lines[:-1]] == [[4, 1]]
+    assert lines[-1] == {"summary": {"checked": 1, "passed": 1, "failed": 0}}
+    assert captured.err == (
+        "note: shape [3, 1] has size 4, outside n = 5..5; not checked\n"
+        "note: shape [2, 2, 2] has size 6, outside n = 5..5; not checked\n"
+    )
+
+
 def test_verify_repeated_relation_is_checked_once(capsys):
     code, lines = run(
         capsys,
@@ -418,6 +437,26 @@ def test_verify_relations_n7_pool_stream_is_pinned(capsys):
     assert code == 0
     assert len(out.splitlines()) == 134 + 1
     assert hashlib.sha256(out).hexdigest() == RELATIONS_N7_SHA256
+
+
+# sha256 of the record stream of verify main-theorem --n-min 13 --n-max 14
+# --shapes hooks --allow-large (27 records).
+MAIN_THEOREM_N14_SHA256 = (
+    "2234f493e6eaa2498ba4b36647812169f069078e51bf5495ea3e379169ac59a0"
+)
+
+
+def test_verify_main_theorem_n14_stream_is_pinned(capsys):
+    # The committed hooks-n12 stream stops at n = 12; this pins the hooks
+    # of n = 13 and 14, whose t_k keys run to base 14 on (1^14).
+    code = dispatch([
+        "verify", "main-theorem", "--n-min", "13", "--n-max", "14",
+        "--shapes", "hooks", "--allow-large",
+    ])
+    out = capsys.readouterr().out.encode()
+    assert code == 0
+    assert len(out.splitlines()) == 27 + 1
+    assert hashlib.sha256(out).hexdigest() == MAIN_THEOREM_N14_SHA256
 
 
 def test_verify_seed_is_accepted_and_ignored(capsys):

@@ -47,6 +47,7 @@ from cactus_tableaux.shapes import (
     Partition,
     Permutation,
     enumerate_partitions,
+    is_hook,
 )
 from cactus_tableaux.sliding import (
     _promote_rows,
@@ -419,6 +420,20 @@ class TestSytTPerms:
                     index[from_pattern(bk_tau(P, k))] for P in patterns
                 ), (lam, k)
                 assert (perm * perm).is_identity(), (lam, k)
+
+    @pytest.mark.parametrize("n", range(9, 13))
+    def test_hooks_reach_every_digit_base(self, n):
+        """The build keys each row word in base max(len(lam), 2).  The sweep
+        above takes every lam of n <= 8, so with the hooks of n = 9..12 every
+        hook of 4 <= n <= 12 is checked, up to base 12 on (1^12)."""
+        for lam in map(tuple, enumerate_partitions(n)):
+            if not is_hook(lam):
+                continue
+            for k in range(1, n):
+                assert bk_t_perm(lam, None, k) == _induced_perm(
+                    lam, None, lambda rows: _swap_rows(rows, k), f"t{k}"
+                ), (lam, k)
+        tableaux._drop_domains()
 
 
 def test_column_view_of_a_part_above_255_keeps_tuples():

@@ -190,8 +190,9 @@ class TestSchutzenbergerModule:
                     assert value == perm_module_character(tilde, tuple(rho)), (lam, rho)
 
     def test_perm_character_shares_cycle_blocks(self, monkeypatch):
-        """At most one product per block t_{a+1} ... t_b of 1..11, plus one
-        per cycle of length >= 2 of each class of S_11."""
+        """Exactly one product per block t_{a+1} ... t_b with b >= a + 2
+        that some class of S_11 needs, and one per distinct prefix of two
+        or more cycles of length >= 2 over the classes."""
         lam = Partition((7, 1, 1, 1, 1, 1))
         for k in range(1, 12):
             bk_t_perm(tuple(lam), None, k)
@@ -205,11 +206,18 @@ class TestSchutzenbergerModule:
 
         monkeypatch.setattr(Permutation, "__mul__", counted)
         schutzenberger_perm_character(lam)
-        cycles = sum(
-            sum(1 for part in rho if part >= 2) for rho in enumerate_partitions(11)
-        )
-        assert math.comb(11, 2) + cycles == 191
-        assert calls <= 191
+        prefixes = set()
+        for rho in enumerate_partitions(11):
+            cycles = tuple(part for part in rho if part >= 2)
+            prefixes.update(cycles[:i] for i in range(1, len(cycles) + 1))
+        reach = {}  # the first letter a of a block -> the last b it reaches
+        for prefix in prefixes:
+            a = 1 + sum(prefix[:-1])
+            reach[a] = max(reach.get(a, a), a + prefix[-1] - 1)
+        blocks = sum(b - a - 1 for a, b in reach.items())
+        shared = sum(1 for prefix in prefixes if len(prefix) >= 2)
+        assert blocks + shared == 66
+        assert calls == 66
 
     @pytest.mark.parametrize("shape", [(2, 2), (3, 2), (3, 2, 1)])
     def test_decompose_rejects_non_hooks(self, shape):
