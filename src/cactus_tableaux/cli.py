@@ -33,7 +33,7 @@ from .representation import (
     fold_map,
     kostka_number,
 )
-from .verify import ALL_CHECKS, RunConfig, Summary, batch_verify
+from .verify import ALL_CHECKS, CHECKS, RunConfig, Summary, batch_verify
 
 
 def _emit(stream, obj) -> None:
@@ -164,11 +164,16 @@ def _cmd_verify(args, stream) -> int:
     if not isinstance(config.shapes, str):
         for shape in dict.fromkeys(map(Partition, config.shapes)):
             if not config.n_min <= shape.size <= config.n_max:
-                print(
-                    f"note: shape {list(shape)} has size {shape.size}, outside"
-                    f" n = {config.n_min}..{config.n_max}; not checked",
-                    file=sys.stderr,
-                )
+                why = f"outside n = {config.n_min}..{config.n_max}"
+            elif not any(CHECKS[name].applies(shape) for name in config.relations):
+                why = "but no requested check applies to it"
+            else:
+                continue
+            print(
+                f"note: shape {list(shape)} has size {shape.size}, {why};"
+                " not checked",
+                file=sys.stderr,
+            )
     return _emit_summary(summary, stream)
 
 

@@ -237,27 +237,6 @@ def pi_ij_image(w: CactusWord, i: int, j: int) -> Permutation:
 # Induced permutations on enumerated tableau sets.
 
 
-def _induced_perm(lam: tuple[int, ...], m: Optional[int], f, what: str) -> Permutation:
-    """The permutation the row map f, named ``what``, induces on (lam, m).
-
-    The domain's rows are valid by construction, so f gets them unchecked.
-    Its post-condition is that every image lies in the domain, which is
-    stronger than being semistandard; it is checked for every image in
-    every run mode.
-    """
-    index = _index(lam, m)
-    images = []
-    for rows in index:
-        image = f(rows)
-        i = index.get(image)
-        if i is None:
-            raise AssertionError(
-                f"{what} maps {rows} to {image}, outside the domain {lam}, m = {m}"
-            )
-        images.append(i + 1)
-    return Permutation(images)
-
-
 def _check_window(
     lam: tuple[int, ...], m: Optional[int], what: str, lo: int, hi: int
 ) -> None:
@@ -296,6 +275,7 @@ def interval_perm(
 class _ColumnView(NamedTuple):
     """SSYT(lam, m) as Gelfand-Tsetlin columns, in the order of its index.
 
+    On SYT(lam), the standard part of SSYT(lam, n), read m as n = |lam|.
     L(i, j) is the number of entries <= j in row i of a tableau, the entry
     (i, j) of its pattern.  ``columns[i, j]`` lists L(i, j) over the domain
     for 1 <= i <= min(j, len(lam)) and j < m; every other L(i, j) is
@@ -315,14 +295,16 @@ class _ColumnView(NamedTuple):
 
 
 @_per_domain
-def _column_view(lam: tuple[int, ...], m: int) -> _ColumnView:
-    """The Gelfand-Tsetlin column view of SSYT(lam, m), built once per domain.
+def _column_view(lam: tuple[int, ...], m: Optional[int]) -> _ColumnView:
+    """The Gelfand-Tsetlin column view of SSYT(lam, m), or of SYT(lam) if m
+    is None, built once per domain.
 
     A row's counts depend on that row alone, so each distinct row is
     counted once.  A column takes a byte per tableau, where a list would
     take a pointer; only a part above 255 keeps its columns as tuples.
     """
     index = _index(lam, m)
+    m = sum(lam) if m is None else m  # SYT(lam) has the alphabet 1..|lam|
     weights = {}
     cuts = [1]
     for j in range(1, m):
@@ -357,10 +339,10 @@ def _column_view(lam: tuple[int, ...], m: int) -> _ColumnView:
 
 
 def _keyed_perm(
-    lam: tuple[int, ...], m: int, keys: list[int], what: str
+    lam: tuple[int, ...], m: Optional[int], keys: list[int], what: str
 ) -> Permutation:
-    """The permutation of SSYT(lam, m) that sends each tableau to the one
-    whose key is at its place in ``keys``.  Its post-condition, checked in
+    """The permutation of the domain (lam, m) that sends each tableau to the
+    one whose key is at its place in ``keys``.  Its post-condition, checked in
     every run mode: every image key lies in the domain."""
     position = _column_view(lam, m).position
     try:
@@ -477,18 +459,16 @@ def promotion_perm(lam: tuple[int, ...], m: Optional[int], k: int) -> Permutatio
     """Bounded promotion with window 1..k as a permutation of (lam, m).
 
     The window must lie in the domain's alphabet: a larger one relabels
-    vacated cells k, outside the domain.  On SSYT, pr_k fixes every entry
-    above k and keeps the shape of the entries <= k, so it changes only
-    pattern rows below k, and how depends only on the sub-tableau of
-    entries <= k: ``key % cuts[k]``.  So ``_promote_rows`` runs once per
-    distinct sub-tableau, on any tableau that holds it; that image must lie
-    in the domain, and its key change is added to the key of every tableau
-    with the same sub-tableau.  On SYT the kernel runs on every tableau.
+    vacated cells k, outside the domain.  On SSYT and SYT alike, pr_k fixes
+    every entry above k and keeps the shape of the entries <= k, so it
+    changes only pattern rows below k, and how depends only on the
+    sub-tableau of entries <= k: ``key % cuts[k]`` of the column view.  So
+    ``_promote_rows`` runs once per distinct sub-tableau, on any tableau
+    that holds it; that image must lie in the domain, and its key change is
+    added to the key of every tableau with the same sub-tableau.
     """
     _check_window(lam, m, f"promotion_{k}", 1, k)
     what = f"promotion_{k}"
-    if m is None:
-        return _induced_perm(lam, m, lambda rows: _promote_rows(rows, k), what)
     index = _index(lam, m)
     view = _column_view(lam, m)
     cut = view.cuts[k]

@@ -14,7 +14,7 @@ import operator
 from functools import lru_cache
 from typing import Iterator, Optional
 
-from .shapes import Composition, Interval, Partition, Permutation, conjugate, value_type
+from .shapes import Composition, Interval, Partition, Permutation, value_type
 
 Rows = tuple[tuple[int, ...], ...]
 
@@ -336,7 +336,7 @@ def _ssyt_rows(lam: tuple[int, ...], m: int) -> list[Rows]:
     """
     if m < 1:
         raise ValueError("alphabet size must be >= 1")
-    cols = conjugate(Partition._unchecked(lam))
+    cols = _column_lengths(lam)
     cells = [(r, c) for r, length in enumerate(lam) for c in range(length)]
     # The largest entry of each cell: the column below it needs distinct
     # larger values.
@@ -363,8 +363,18 @@ def _ssyt_rows(lam: tuple[int, ...], m: int) -> list[Rows]:
     return out
 
 
+def _column_lengths(lam: tuple[int, ...]) -> list[int]:
+    """The column lengths of the shape lam, counted from the bottom row up:
+    the columns that row r (from 1) has beyond the rows below it have
+    length r."""
+    cols: list[int] = []
+    for depth in range(len(lam), 0, -1):
+        cols += [depth] * (lam[depth - 1] - len(cols))
+    return cols
+
+
 def _hook_lengths(lam: tuple[int, ...]) -> list[int]:
-    cols = conjugate(Partition._unchecked(lam))
+    cols = _column_lengths(lam)
     return [
         length - c + cols[c] - r - 1
         for r, length in enumerate(lam)

@@ -4,16 +4,20 @@ Nothing here calls into the character or evacuation code paths it is used
 to check: Kostka numbers are counted by horizontal-strip chains,
 permutation-module characters by distributing cycles into rows,
 evacuation by the rotate-complement-rectify construction and by the chain
-of bounded promotions, bounded promotion by rectifying a skew tableau, and
-semistandardness cell by cell.
+of bounded promotions, bounded promotion by rectifying a skew tableau,
+semistandardness cell by cell, and the permutation a row map induces on a
+domain by running it on every tableau.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import Optional
 
 from cactus_tableaux import Tableau, jdt_rectify
+from cactus_tableaux.shapes import Permutation
 from cactus_tableaux.sliding import _promote_rows
+from cactus_tableaux.tableaux import _index
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +180,31 @@ def promotion_oracle(T: Tableau, k: int) -> Tableau:
         filled = (k,) * (len(window[r]) - len(kept))
         rows.append(kept + filled + row[len(window[r]):])
     return Tableau(rows=tuple(rows))
+
+
+# ---------------------------------------------------------------------------
+# Induced permutations, one image per tableau.
+
+
+def _induced_perm(lam: tuple[int, ...], m: Optional[int], f, what: str) -> Permutation:
+    """The permutation the row map f, named ``what``, induces on (lam, m).
+
+    The domain's rows are valid by construction, so f gets them unchecked.
+    Its post-condition is that every image lies in the domain, which is
+    stronger than being semistandard; it is checked for every image in
+    every run mode.
+    """
+    index = _index(lam, m)
+    images = []
+    for rows in index:
+        image = f(rows)
+        i = index.get(image)
+        if i is None:
+            raise AssertionError(
+                f"{what} maps {rows} to {image}, outside the domain {lam}, m = {m}"
+            )
+        images.append(i + 1)
+    return Permutation(images)
 
 
 # ---------------------------------------------------------------------------

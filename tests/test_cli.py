@@ -269,6 +269,36 @@ def test_verify_names_each_shape_of_another_size_on_stderr(capsys):
     )
 
 
+def test_verify_names_each_shape_no_check_applies_to_on_stderr(capsys):
+    """An explicit shape of the right size to which no requested check
+    applies, (3,2) for the hooks-only main theorem, gets one stderr line,
+    in the order of the shapes and among the size notes; stdout and the
+    exit code stay as they are, and with no job left the run still ends
+    with its one error line."""
+    code = dispatch([
+        "verify", "main-theorem", "--n", "5",
+        "--shapes", "[[3,2],[4,1],[3,1],[3,2,0]]",
+    ])
+    captured = capsys.readouterr()
+    assert code == 0
+    lines = [json.loads(line) for line in captured.out.splitlines()]
+    assert [r["shape"] for r in lines[:-1]] == [[4, 1]]
+    assert lines[-1] == {"summary": {"checked": 1, "passed": 1, "failed": 0}}
+    assert captured.err == (
+        "note: shape [3, 2] has size 5, but no requested check applies to it;"
+        " not checked\n"
+        "note: shape [3, 1] has size 4, outside n = 5..5; not checked\n"
+    )
+
+    code = dispatch(["verify", "main-theorem", "--n", "5", "--shapes", "[[3,2]]"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (
+        "error: nothing to verify: no job for the shapes [[3, 2]] at n = 5..5\n"
+    )
+
+
 def test_verify_repeated_relation_is_checked_once(capsys):
     code, lines = run(
         capsys,

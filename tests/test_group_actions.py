@@ -15,7 +15,6 @@ from hypothesis import given, settings, strategies as st
 from cactus_tableaux import group_actions, tableaux
 from cactus_tableaux.group_actions import (
     _atom_perm,
-    _induced_perm,
     BKWord,
     CactusWord,
     act,
@@ -76,6 +75,8 @@ from cactus_tableaux.verify import (
     check_xi_relations,
     star_relation_expected,
 )
+
+from helpers import _induced_perm
 
 
 class TestParsing:
@@ -436,6 +437,23 @@ class TestSytTPerms:
         tableaux._drop_domains()
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_syt_column_view_is_the_standard_part_of_ssyt_n(n):
+    """The view of SYT(lam) has the alphabet 1..n: its weights and cuts are
+    those of SSYT(lam, n), and each standard tableau keeps the columns and
+    the key it has there, in the order of the SYT index."""
+    for lam in map(tuple, enumerate_partitions(n)):
+        syt, ssyt = (group_actions._column_view(lam, m) for m in (None, n))
+        assert (syt.weights, syt.cuts) == (ssyt.weights, ssyt.cuts), lam
+        at = [_index(lam, n)[rows] for rows in _index(lam, None)]
+        assert syt.keys == [ssyt.keys[i] for i in at], lam
+        assert syt.position == {key: i for i, key in enumerate(syt.keys)}, lam
+        assert syt.columns.keys() == ssyt.columns.keys(), lam
+        for ij, column in syt.columns.items():
+            assert list(column) == [ssyt.columns[ij][i] for i in at], (lam, ij)
+    tableaux._drop_domains()
+
+
 def test_column_view_of_a_part_above_255_keeps_tuples():
     """A part above 255 does not fit a byte, so the view keeps its columns
     as tuples; the builds read them as they read bytes."""
@@ -702,8 +720,8 @@ calls = {
     "bk_t_perm on a corrupted view": t_rule_on_a_corrupted_view,
     "bk_t_perm on SYT": syt_rule_on_a_corrupted_domain,
     "domain count": domain_without_its_first_tableau,
-    "promotion_perm": lambda: group_actions.promotion_perm((2, 1), None, 2),
-    "promotion_perm key cut": lambda: group_actions.promotion_perm((2, 1), 3, 2),
+    "promotion_perm on SYT": lambda: group_actions.promotion_perm((2, 1), None, 2),
+    "promotion_perm on SSYT": lambda: group_actions.promotion_perm((2, 1), 3, 2),
     "act t2": lambda: group_actions.act(group_actions.parse_word("t2", 3), T),
     "act p2": lambda: group_actions.act(group_actions.parse_word("p2", 3), T),
     "act q2": lambda: group_actions.act(group_actions.parse_word("q2", 3), T),
