@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import operator
 import re
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from functools import reduce
 from typing import Iterable, NamedTuple, Optional, Union
 
@@ -24,6 +24,8 @@ from .tableaux import (
     _index,
     _per_domain,
     _straight_ssyt_rows,
+    _syt_keys,
+    _syt_rows_of,
     syt_tuple,
 )
 
@@ -411,41 +413,32 @@ def _syt_t_perms(lam: tuple[int, ...]) -> tuple[Permutation, ...]:
         (k+1)-th letters exchanged (w itself when k and k+1 share a row);
     (3) that swapped word is a lattice word unless k+1 is directly below k.
 
-    For the build, each row word is one int, its key: the digit of x is
-    row(x), of weight d^(x-1) in base d = max(len(lam), 2).  Exchanging
-    the digits a of k and b of k+1 adds (b - a)(d^(k-1) - d^k) to the key,
-    which is nothing when a = b; that shift is tabled by the digit pair
-    a + b d, which is key // d^(k-1) % d^2.  So the image is the tableau
-    with the shifted key, or T itself when no tableau has it.  That fixed
-    branch is the rule's post-condition: it raises AssertionError, in
-    every run mode, unless k+1 really sits directly below k, in row
-    b = a + 1 and in the column of k, which ``bisect_left`` reads off both
-    rows of T.  ``_swap_rows`` is the independent oracle the tests compare
-    it with.  The keys live only for the build.
+    The build reads ``tableaux._syt_keys``, each row word as one int key
+    with the digit of x, row(x), of weight d^(x-1) in base
+    d = max(len(lam), 2), and no rows.  Exchanging the digits a of k and
+    b of k+1 adds (b - a)(d^(k-1) - d^k) to the key, which is nothing when
+    a = b; that shift is tabled by the digit pair a + b d, which is
+    key // d^(k-1) % d^2.  So the image is the tableau with the shifted
+    key, or T itself when no tableau has it.  That fixed branch is the
+    rule's post-condition: it raises AssertionError, in every run mode,
+    unless bit k+1 of T's below mask says that the key build placed k+1
+    directly below k.  ``_swap_rows`` is the independent oracle the tests
+    compare it with.
     """
     n = sum(lam)
     d = max(len(lam), 2)
-    weight = (0, *(d**e for e in range(n)))  # weight[x] = d^(x-1)
-    tableaux = list(_index(lam, None))
-    keys = [0] * len(tableaux)
-    for r in range(1, len(lam)):  # row 0 adds nothing
-        row_of = [rows[r] for rows in tableaux]
-        part = {row: r * sum(map(weight.__getitem__, row)) for row in set(row_of)}
-        keys = list(map(operator.add, keys, map(part.__getitem__, row_of)))
+    keys, below = _syt_keys(lam)
     position = {key: i for i, key in enumerate(keys, 1)}
     pairs = d * d
     perms = []
     for k in range(1, n):
-        low, high = weight[k], weight[k + 1]
+        low, high = d ** (k - 1), d**k
         shift = [(p // d - p % d) * (low - high) for p in range(pairs)]
         images = [position.get(key + shift[key // low % pairs]) for key in keys]
         for i, image in enumerate(images):
             if image is None:
-                rows, a, b = tableaux[i], keys[i] // low % d, keys[i] // high % d
-                if not (
-                    b == a + 1
-                    and bisect_left(rows[a], k) == bisect_left(rows[b], k + 1)
-                ):
+                if not below[i] >> (k + 1) & 1:
+                    rows = _syt_rows_of(lam, keys[i])
                     raise AssertionError(
                         f"t{k} finds no image for the SYT {rows} of {lam}"
                     )

@@ -27,8 +27,8 @@ from .tableaux import (
     Tableau,
     Tabloid,
     _content_rows,
-    _index,
     _syt_count,
+    _syt_keys,
     dual_reflect,
     syt_tuple,
 )
@@ -223,9 +223,9 @@ def schutzenberger_perm_character(lam: Partition) -> dict[CycleType, int]:
     and many share their leading parts: the product of the blocks of each
     prefix (rho_1, ..., rho_i) is kept for the call, so a class costs one
     product beyond its longest kept prefix.  The identity class, which has
-    no block, fixes every tableau: its value is the size of the enumerated
-    domain, which ``decompose_schutzenberger`` then checks against the
-    hook-length formula.
+    no block, fixes every tableau: its value is the number of keys that
+    ``tableaux._syt_keys`` enumerates, which ``decompose_schutzenberger``
+    then checks against the hook-length formula.
     """
     lam = Partition(lam)
     # The hook guard: it raises ValueError off hooks, where the t_k give no
@@ -241,7 +241,7 @@ def schutzenberger_perm_character(lam: Partition) -> dict[CycleType, int]:
     for rho in enumerate_partitions(n - 1):
         cycles = tuple(length for length in rho if length >= 2)
         if not cycles:
-            out[rho] = len(_index(tuple(lam), None))
+            out[rho] = len(_syt_keys(tuple(lam))[0])
             continue
         product, a = None, 1
         for i, length in enumerate(cycles, 1):

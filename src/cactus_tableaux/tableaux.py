@@ -414,19 +414,103 @@ def _drop_domains() -> None:
 
 
 @_per_domain
+def _syt_keys(lam: tuple[int, ...]) -> tuple[list[int], list[int]]:
+    """SYT(lam) as two lists of ints, one entry per tableau, in the order of
+    its domain index: the row-word keys and the below masks.
+
+    The key of T reads its row word as one int: the digit of x is row(x),
+    of weight d^(x-1) in base d = max(len(lam), 2).  Bit x of T's below
+    mask is set when x sits directly below x - 1.  ``_syt_rows_of`` decodes
+    a key's rows; no row tuple is built here.
+
+    The values 1..n are placed one at a time, each at the end of a row
+    shorter than its part and than the row above, as ``_content_rows``
+    places content (1^n).  Each placement also updates an order key.  Let
+    B_r be the n-bit mask with bit n - x set exactly when x is not in row
+    r.  Two rows r of one shape first differ at some value y, which one of
+    them holds: both hold the same values below y, so their masks agree
+    above bit n - y, and the row holding y, the lexicographically smaller,
+    has that bit clear.  So the order of row r's tuples is the numeric
+    order of B_r, and the index order, lexicographic on the rows, is the
+    numeric order of (B_0, B_1, ...), read as one int with B_0 highest:
+    one sort on it gives the index order.
+
+    Its post-condition, checked in every run mode: SYT(lam) has as many
+    distinct keys as the hook-length formula counts.
+    """
+    n, depth = sum(lam), len(lam)
+    d = max(depth, 2)
+    # Placing x in row r adds r d^(x-1) to the key and clears bit n - x of
+    # B_r, which starts at bit (depth - 1 - r) n of the order key.
+    weight = (0, *(d**e for e in range(n)))  # weight[x] = d^(x-1)
+    digit = [[r * w for w in weight] for r in range(depth)]
+    clear = [
+        [1 << (depth - 1 - r) * n + n - x for x in range(n + 1)] for r in range(depth)
+    ]
+    lengths = [0] * depth
+    orders: list[int] = []
+    keys: list[int] = []
+    below: list[int] = []
+
+    def place(x: int, key: int, order: int, mask: int, row: int, column: int) -> None:
+        if x > n:
+            orders.append(order)
+            keys.append(key)
+            below.append(mask)
+            return
+        above = n  # the length of the row above; row 0 has none
+        for r, part in enumerate(lam):
+            c = lengths[r]
+            if c < part and c < above:
+                lengths[r] = c + 1
+                flag = 1 << x if r == row + 1 and c == column else 0
+                place(x + 1, key + digit[r][x], order - clear[r][x], mask | flag, r, c)
+                lengths[r] = c
+            if not c:
+                break  # the rows below are empty and stay so
+            above = c
+
+    place(1, 0, (1 << depth * n) - 1, 0, -2, -1)
+    del place  # break place's cycle through its closure, as in _content_rows
+    by_order = sorted(range(len(orders)), key=orders.__getitem__)
+    keys = [keys[i] for i in by_order]
+    below = [below[i] for i in by_order]
+    distinct, count = len(set(keys)), _syt_count(lam)
+    if distinct != count:
+        raise AssertionError(
+            f"SYT({lam}) has {distinct} distinct tableaux by key, not {count}"
+        )
+    return keys, below
+
+
+def _syt_rows_of(lam: tuple[int, ...], key: int) -> Rows:
+    """The rows of the SYT of shape lam whose row-word key is ``key``, as
+    ``_syt_keys`` writes it: x goes to the row of its digit."""
+    d = max(len(lam), 2)
+    rows: list[list[int]] = [[] for _ in lam]
+    for x in range(1, sum(lam) + 1):
+        key, r = divmod(key, d)
+        rows[r].append(x)
+    return tuple(map(tuple, rows))
+
+
+@_per_domain
 def _index(lam: tuple[int, ...], m: Optional[int]) -> dict[Rows, int]:
     """Positions in the domain (lam, m), keyed by the rows of each tableau.
 
-    The domain is SSYT(lam, m) from ``_ssyt_rows``, or SYT(lam) from
-    ``_content_rows`` if m is None.  This is the one cached copy of a domain:
-    the tableau tuples, the induced permutations and the counterexamples all
-    read positions from it.  Its post-condition, checked in every run mode:
-    the domain has as many distinct rows as the hook-length (SYT) or
-    hook-content (SSYT) formula counts.  A domain lives for one verify
-    shard, at whose end ``_drop_domains`` empties this cache.
+    The domain is SSYT(lam, m) from ``_ssyt_rows``, or SYT(lam) decoded
+    from the keys of ``_syt_keys`` in their order if m is None.  This is
+    the one cached copy of a domain's rows: the tableau tuples, the pr_k
+    builds and the counterexamples read positions from it.  The SYT t_k
+    builds and the main theorem read only ``_syt_keys``, so they never
+    build it.  Its post-condition, checked in every run mode: the domain
+    has as many distinct rows as the hook-length (SYT) or hook-content
+    (SSYT) formula counts.  A domain lives for one verify shard, at whose
+    end ``_drop_domains`` empties this cache.
     """
     if m is None:
-        rows, count = _content_rows(lam, (1,) * sum(lam)), _syt_count(lam)
+        rows = [_syt_rows_of(lam, key) for key in _syt_keys(lam)[0]]
+        count = _syt_count(lam)
     else:
         rows, count = _ssyt_rows(lam, m), _ssyt_count(lam, m)
     index = {key: i for i, key in enumerate(rows)}

@@ -74,6 +74,7 @@ from cactus_tableaux.verify import (
     check_star_sixth,
     check_xi_relations,
     star_relation_expected,
+    verify_main_theorem,
 )
 
 from helpers import _induced_perm
@@ -607,20 +608,64 @@ class TestDomainIndex:
                         ]
 
     def test_syt_order_matches_enumerate_syt(self):
-        for n in range(8):
-            for lam in enumerate_partitions(n):
-                assert list(_index(tuple(lam), None)) == [
-                    t.rows for t in enumerate_syt(lam)
-                ]
+        """``_index(lam, None)``, decoded from ``_syt_keys``, against the
+        independent fill of ``_content_rows`` behind ``enumerate_syt``; and
+        the key build's below masks against the rows they were read from."""
+        for lam in _syt_shapes():
+            rows = [t.rows for t in enumerate_syt(lam)]
+            assert list(_index(tuple(lam), None)) == rows, lam
+            _, below = tableaux._syt_keys(tuple(lam))
+            assert below == [_below_mask(r) for r in rows], lam
+            tableaux._drop_domains()
 
     @pytest.mark.parametrize(
-        "name, lam, m", [("_content_rows", (3, 1), None), ("_ssyt_rows", (2, 1), 3)]
+        "name, lam, m", [("_syt_keys", (3, 1), None), ("_ssyt_rows", (2, 1), 3)]
     )
     def test_domain_count_post_condition(self, monkeypatch, name, lam, m):
-        enumerate_rows = getattr(tableaux, name)
-        monkeypatch.setattr(tableaux, name, lambda *args: enumerate_rows(*args)[1:])
+        build = getattr(tableaux, name)
+        if m is None:  # every SYT but the first: its key and its below mask go
+            corrupted = lambda lam: tuple(column[1:] for column in build(lam))
+        else:
+            corrupted = lambda *args: build(*args)[1:]
+        monkeypatch.setattr(tableaux, name, corrupted)
         with pytest.raises(AssertionError, match="distinct tableaux"):
             _index.__wrapped__(lam, m)
+
+    def test_syt_key_count_post_condition(self, monkeypatch):
+        """The key build checks its own count, which the main-theorem path
+        reads in place of ``_index``'s."""
+        count = tableaux._syt_count
+        monkeypatch.setattr(tableaux, "_syt_count", lambda lam: count(lam) + 1)
+        with pytest.raises(AssertionError, match="distinct tableaux"):
+            tableaux._syt_keys.__wrapped__((3, 1))
+
+    def test_main_theorem_builds_no_syt_rows(self):
+        """On a hook, the t_k builds and the identity class read the keys of
+        ``_syt_keys`` only, so the main theorem leaves ``_index`` empty."""
+        tableaux._drop_domains()
+        assert verify_main_theorem(Partition((6,) + (1,) * 6)).status == "PASS"
+        assert _index.cache_info().currsize == 0
+        tableaux._drop_domains()
+
+
+def _syt_shapes():
+    """Every partition of n <= 9 and every hook of 10 <= n <= 12."""
+    for n in range(10):
+        yield from enumerate_partitions(n)
+    for n in range(10, 13):
+        for leg in range(n):
+            yield Partition((n - leg,) + (1,) * leg)
+
+
+def _below_mask(rows):
+    """The int with bit x set when x sits directly below x - 1 in rows."""
+    cell = {x: (r, c) for r, row in enumerate(rows) for c, x in enumerate(row)}
+    mask = 0
+    for x in range(2, len(cell) + 1):
+        (r, c), (s, e) = cell[x - 1], cell[x]
+        if s == r + 1 and e == c:
+            mask |= 1 << x
+    return mask
 
 
 def _single_tableau_ops(m):
@@ -674,14 +719,15 @@ def one_row(rows, k):
 
 
 def syt_rule_on_a_corrupted_domain():
-    # SYT((3, 1)) without two of its tableaux: t3 finds no image for
-    # ((1, 2, 3), (4,)), and 4 does not sit directly below 3 there.
-    index = group_actions._index
-    group_actions._index = lambda lam, m: dict(list(index(lam, m).items())[:1])
+    # The keys of SYT((3, 1)) without two of its tableaux, which skips the
+    # key build's count: t3 finds no image for ((1, 2, 3), (4,)), and the
+    # below mask says 4 is not directly below 3 there.
+    keys = group_actions._syt_keys
+    group_actions._syt_keys = lambda lam: tuple(column[:1] for column in keys(lam))
     try:
         group_actions.bk_t_perm((3, 1), None, 1)
     finally:
-        group_actions._index = index
+        group_actions._syt_keys = keys
 
 
 def t_rule_on_a_corrupted_view():
@@ -701,12 +747,21 @@ def t_rule_on_a_corrupted_view():
 
 
 def domain_without_its_first_tableau():
-    rows = tableaux._content_rows
-    tableaux._content_rows = lambda lam, counts: rows(lam, counts)[1:]
+    keys = tableaux._syt_keys
+    tableaux._syt_keys = lambda lam: tuple(column[1:] for column in keys(lam))
     try:
         tableaux._index.__wrapped__((3, 1), None)
     finally:
-        tableaux._content_rows = rows
+        tableaux._syt_keys = keys
+
+
+def keys_off_their_count():
+    count = tableaux._syt_count
+    tableaux._syt_count = lambda lam: count(lam) + 1
+    try:
+        tableaux._syt_keys.__wrapped__((3, 1))
+    finally:
+        tableaux._syt_count = count
 
 
 T = Tableau(((1, 2), (3,)))
@@ -720,6 +775,7 @@ calls = {
     "bk_t_perm on a corrupted view": t_rule_on_a_corrupted_view,
     "bk_t_perm on SYT": syt_rule_on_a_corrupted_domain,
     "domain count": domain_without_its_first_tableau,
+    "key count": keys_off_their_count,
     "promotion_perm on SYT": lambda: group_actions.promotion_perm((2, 1), None, 2),
     "promotion_perm on SSYT": lambda: group_actions.promotion_perm((2, 1), 3, 2),
     "act t2": lambda: group_actions.act(group_actions.parse_word("t2", 3), T),
@@ -745,8 +801,8 @@ for broken in (reversed_row, one_row):
 def test_kernel_post_conditions_hold_under_python_O():
     """With the row kernels replaced by a broken stand-in, every layer that
     runs them still raises, in an interpreter that strips assert statements;
-    so do the SYT rule for t_k on a corrupted domain, the SSYT rule for t_k
-    on a corrupted column view, and the domain count.
+    so do the SYT rule for t_k on corrupted keys, the SSYT rule for t_k
+    on a corrupted column view, the domain count and the SYT key count.
     One stand-in breaks semistandardness; the other keeps it and changes
     the shape, which only the same-shape half of ``_check_image`` (or, on a
     domain, the image-in-domain check) can see."""
