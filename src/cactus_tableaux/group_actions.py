@@ -8,17 +8,17 @@ enumerated tableau set.
 
 from __future__ import annotations
 
-import itertools
 import operator
 import re
 from bisect import bisect_right
 from functools import reduce
-from typing import Iterable, NamedTuple, Optional, Union
+from typing import Callable, Iterable, NamedTuple, Optional, Union
 
 from .shapes import Interval, Partition, Permutation, value_type
 from .sliding import _evacuate_rows, _promote_rows
 from .gt_patterns import _swap_rows
 from .tableaux import (
+    Rows,
     Tableau,
     _check_image,
     _index,
@@ -275,22 +275,21 @@ def interval_perm(
 
 
 class _ColumnView(NamedTuple):
-    """SSYT(lam, m) as Gelfand-Tsetlin columns, in the order of its index.
+    """SSYT(lam, m) as Gelfand-Tsetlin pattern keys, in the order of its index.
 
     On SYT(lam), the standard part of SSYT(lam, n), read m as n = |lam|.
     L(i, j) is the number of entries <= j in row i of a tableau, the entry
-    (i, j) of its pattern.  ``columns[i, j]`` lists L(i, j) over the domain
-    for 1 <= i <= min(j, len(lam)) and j < m; every other L(i, j) is
-    constant: lam_i on the top row j = m, and 0 for i > j or i > len(lam).
-    ``keys`` are those entries read as one mixed-radix integer per tableau,
-    digit (i, j) of radix lam_i + 1 and weight ``weights[i, j]``, the
-    digits ordered by pattern row j.  So ``key % cuts[k]`` is the part of
-    the key from rows 1..k, the sub-tableau of entries <= k.  ``position``
-    maps each key to its tableau's position in the domain.
+    (i, j) of its pattern.  Only the entries with 1 <= i <= min(j, len(lam))
+    and j < m vary over the domain: the top row j = m is lam, and L(i, j)
+    is 0 for i > j or i > len(lam).  ``keys`` reads those entries as one
+    mixed-radix integer per tableau, digit (i, j) of radix lam_i + 1, the
+    digits ordered by pattern row j; ``cuts[j]`` is the weight past row j.
+    So ``key // cuts[lo] % (cuts[hi] // cuts[lo])`` is the window of
+    pattern rows lo+1..hi, and ``key % cuts[k]`` the sub-tableau of entries
+    <= k.  ``position`` maps each key to its tableau's position in the
+    domain.
     """
 
-    columns: dict[tuple[int, int], bytes]
-    weights: dict[tuple[int, int], int]
     cuts: tuple[int, ...]
     keys: list[int]
     position: dict[int, int]
@@ -298,12 +297,11 @@ class _ColumnView(NamedTuple):
 
 @_per_domain
 def _column_view(lam: tuple[int, ...], m: Optional[int]) -> _ColumnView:
-    """The Gelfand-Tsetlin column view of SSYT(lam, m), or of SYT(lam) if m
+    """The Gelfand-Tsetlin key view of SSYT(lam, m), or of SYT(lam) if m
     is None, built once per domain.
 
-    A row's counts depend on that row alone, so each distinct row is
-    counted once.  A column takes a byte per tableau, where a list would
-    take a pointer; only a part above 255 keeps its columns as tuples.
+    A row's digits depend on that row alone, so each distinct row is
+    counted once.
     """
     index = _index(lam, m)
     m = sum(lam) if m is None else m  # SYT(lam) has the alphabet 1..|lam|
@@ -316,45 +314,62 @@ def _column_view(lam: tuple[int, ...], m: Optional[int]) -> _ColumnView:
             weight *= lam[i - 1] + 1
         cuts.append(weight)
     cuts.append(cuts[-1])  # the top row m is constant and has no digit
-    compact = bytes if max(lam, default=0) < 256 else tuple
-    columns = {}
     keys = [0] * len(index)
     for r in range(len(lam)):
         i, js = r + 1, range(r + 1, m)
         row_of = [rows[r] for rows in index]
-        counts = {
-            row: [bisect_right(row, j) for j in js] for row in set(row_of)
-        }
         part = {
-            row: sum(c * weights[i, j] for c, j in zip(cs, js))
-            for row, cs in counts.items()
+            row: sum(bisect_right(row, j) * weights[i, j] for j in js)
+            for row in set(row_of)
         }
         keys = list(map(operator.add, keys, map(part.__getitem__, row_of)))
-        # zip(*) of no rows would give no columns at all.
-        transposed = (
-            zip(*map(counts.__getitem__, row_of)) if index else itertools.repeat(())
-        )
-        for j, column in zip(js, transposed):
-            columns[i, j] = compact(column)
     position = {key: i for i, key in enumerate(keys)}
-    return _ColumnView(columns, weights, tuple(cuts), keys, position)
+    return _ColumnView(tuple(cuts), keys, position)
 
 
-def _keyed_perm(
-    lam: tuple[int, ...], m: Optional[int], keys: list[int], what: str
+def _windowed_perm(
+    lam: tuple[int, ...],
+    m: Optional[int],
+    lo: int,
+    hi: int,
+    kernel: Callable[[Rows], Rows],
+    what: str,
 ) -> Permutation:
-    """The permutation of the domain (lam, m) that sends each tableau to the
-    one whose key is at its place in ``keys``.  Its post-condition, checked in
-    every run mode: every image key lies in the domain."""
-    position = _column_view(lam, m).position
-    try:
-        return Permutation([position[key] + 1 for key in keys])
-    except KeyError:
-        i = next(i for i, key in enumerate(keys) if key not in position)
-        rows = next(itertools.islice(_index(lam, m), i, None))
-        raise AssertionError(
-            f"{what} maps {rows} outside the domain {lam}, m = {m}"
-        ) from None
+    """The permutation of the domain (lam, m) of an operator that changes a
+    tableau's key by an amount that depends only on its window, pattern
+    rows lo+1..hi of the column view.
+
+    The row kernel runs once per distinct window, on the first tableau that
+    holds it; that image must lie in the domain, and its key change is
+    added to the key of every tableau with the same window.  Its
+    post-condition, checked in every run mode: every image key lies in the
+    domain.
+    """
+    index = _index(lam, m)
+    view = _column_view(lam, m)
+    keys, position = view.keys, view.position
+    low = view.cuts[lo]
+    span = view.cuts[hi] // low
+    shift = {}
+    images = []
+    for key, rows in zip(keys, index):
+        window = key // low % span
+        change = shift.get(window)
+        if change is None:
+            image = kernel(rows)
+            j = index.get(image)
+            if j is None:
+                raise AssertionError(
+                    f"{what} maps {rows} to {image}, outside the domain {lam}, m = {m}"
+                )
+            change = shift[window] = keys[j] - key
+        try:
+            images.append(position[key + change] + 1)
+        except KeyError:
+            raise AssertionError(
+                f"{what} maps {rows} outside the domain {lam}, m = {m}"
+            ) from None
+    return Permutation(images)
 
 
 @_per_domain
@@ -362,43 +377,19 @@ def bk_t_perm(lam: tuple[int, ...], m: Optional[int], k: int) -> Permutation:
     """t_k as a permutation of the domain (lam, m).
 
     Its window k..k+1 must lie in the domain's alphabet.  On SYT(lam) it is
-    read off :func:`_syt_t_perms`.  On SSYT it is the Berenstein-Kirillov
-    reflection of pattern row k, L(i, k) -> a + b - L(i, k) with
-    a = min(L(i, k+1), L(i-1, k-1)) and b = max(L(i, k-1), L(i+1, k+1)),
-    the edge rules of ``gt_patterns._tau_bounds`` (row i = 1 has no
-    L(i-1, k-1), and L(k, k-1) = 0), evaluated a column at a time over
-    the whole domain: one comprehension per row i adds its change times
-    its weight to every key.  No other row of the pattern changes.
-    ``_swap_rows``, the strip swap that ``act`` runs, is the independent
-    oracle the tests compare it with.
+    read off :func:`_syt_t_perms`.  On SSYT it is Berenstein-Kirillov's
+    reflection of pattern row k, which changes no other row, as a function
+    of pattern rows k-1, k and k+1: so ``_swap_rows``, the strip swap that
+    ``act`` runs, runs once per distinct window of those rows
+    (:func:`_windowed_perm`).  ``bk_tau``, the reflection on one pattern,
+    is the independent oracle the tests compare it with.
     """
     _check_window(lam, m, f"t{k}", k, k + 1)
     if m is None:
         return _syt_t_perms(lam)[k - 1]
-    view = _column_view(lam, m)
-
-    def column(i: int, j: int):
-        if i > len(lam) or i > j:
-            return itertools.repeat(0)
-        return itertools.repeat(lam[i - 1]) if j == m else view.columns[i, j]
-
-    keys = view.keys
-    for i in range(1, min(k, len(lam)) + 1):
-        w = view.weights[i, k]
-        # L(0, k-1) bounds nothing: L(1, k+1) <= lam_1.
-        above = column(i - 1, k - 1) if i > 1 else itertools.repeat(lam[0])
-        keys = [
-            key + ((up if up < ul else ul) + (down if down > dr else dr) - 2 * x) * w
-            for key, x, up, ul, down, dr in zip(
-                keys,
-                view.columns[i, k],
-                column(i, k + 1),
-                above,
-                column(i, k - 1),
-                column(i + 1, k + 1),
-            )
-        ]
-    return _keyed_perm(lam, m, keys, f"t{k}")
+    return _windowed_perm(
+        lam, m, max(k - 2, 0), k + 1, lambda rows: _swap_rows(rows, k), f"t{k}"
+    )
 
 
 @_per_domain
@@ -455,29 +446,13 @@ def promotion_perm(lam: tuple[int, ...], m: Optional[int], k: int) -> Permutatio
     vacated cells k, outside the domain.  On SSYT and SYT alike, pr_k fixes
     every entry above k and keeps the shape of the entries <= k, so it
     changes only pattern rows below k, and how depends only on the
-    sub-tableau of entries <= k: ``key % cuts[k]`` of the column view.  So
-    ``_promote_rows`` runs once per distinct sub-tableau, on any tableau
-    that holds it; that image must lie in the domain, and its key change is
-    added to the key of every tableau with the same sub-tableau.
+    sub-tableau of entries <= k, pattern rows 1..k: so ``_promote_rows``
+    runs once per distinct sub-tableau (:func:`_windowed_perm`).
     """
     _check_window(lam, m, f"promotion_{k}", 1, k)
-    what = f"promotion_{k}"
-    index = _index(lam, m)
-    view = _column_view(lam, m)
-    cut = view.cuts[k]
-    subs = [key % cut for key in view.keys]
-    shift = {}
-    for sub, key, rows in zip(subs, view.keys, index):
-        if sub not in shift:
-            image = _promote_rows(rows, k)
-            j = index.get(image)
-            if j is None:
-                raise AssertionError(
-                    f"{what} maps {rows} to {image}, outside the domain {lam}, m = {m}"
-                )
-            shift[sub] = view.keys[j] - key
-    keys = [key + shift[sub] for key, sub in zip(view.keys, subs)]
-    return _keyed_perm(lam, m, keys, what)
+    return _windowed_perm(
+        lam, m, 0, k, lambda rows: _promote_rows(rows, k), f"promotion_{k}"
+    )
 
 
 @_per_domain

@@ -440,33 +440,58 @@ class TestSytTPerms:
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_syt_column_view_is_the_standard_part_of_ssyt_n(n):
-    """The view of SYT(lam) has the alphabet 1..n: its weights and cuts are
-    those of SSYT(lam, n), and each standard tableau keeps the columns and
-    the key it has there, in the order of the SYT index."""
+    """The view of SYT(lam) has the alphabet 1..n: its cuts are those of
+    SSYT(lam, n), and each standard tableau keeps the key it has there, in
+    the order of the SYT index."""
     for lam in map(tuple, enumerate_partitions(n)):
         syt, ssyt = (group_actions._column_view(lam, m) for m in (None, n))
-        assert (syt.weights, syt.cuts) == (ssyt.weights, ssyt.cuts), lam
+        assert syt.cuts == ssyt.cuts, lam
         at = [_index(lam, n)[rows] for rows in _index(lam, None)]
         assert syt.keys == [ssyt.keys[i] for i in at], lam
         assert syt.position == {key: i for i, key in enumerate(syt.keys)}, lam
-        assert syt.columns.keys() == ssyt.columns.keys(), lam
-        for ij, column in syt.columns.items():
-            assert list(column) == [ssyt.columns[ij][i] for i in at], (lam, ij)
     tableaux._drop_domains()
 
 
-def test_column_view_of_a_part_above_255_keeps_tuples():
-    """A part above 255 does not fit a byte, so the view keeps its columns
-    as tuples; the builds read them as they read bytes."""
+def test_windowed_builds_on_a_part_above_255():
+    """A part above 255 gives digits of radix 257 and more; the t_k and
+    pr_k builds on its windows still equal one kernel call per tableau."""
     lam, m = (256,), 2
     assert len(_index(lam, m)) == 257
-    assert all(type(c) is tuple for c in group_actions._column_view(lam, m).columns.values())
     assert bk_t_perm(lam, m, 1) == _induced_perm(
         lam, m, lambda rows: _swap_rows(rows, 1), "t1"
     )
     assert promotion_perm(lam, m, 2) == _induced_perm(
         lam, m, lambda rows: _promote_rows(rows, 2), "pr2"
     )
+    tableaux._drop_domains()
+
+
+def test_each_window_runs_its_kernel_once(monkeypatch):
+    """On SSYT((3, 2, 1), 6), t_k runs ``_swap_rows`` once per distinct
+    pattern rows k-1..k+1, and pr_k runs ``_promote_rows`` once per
+    distinct pattern rows 1..k, among the patterns of the domain."""
+    lam, m = (3, 2, 1), 6
+    patterns = [to_pattern(Tableau(rows), m).rows for rows in _index(lam, m)]
+    calls = {}
+    for name in ("_swap_rows", "_promote_rows"):
+        kernel = getattr(group_actions, name)
+
+        def counted(rows, k, name=name, kernel=kernel):
+            calls[name] += 1
+            return kernel(rows, k)
+
+        monkeypatch.setattr(group_actions, name, counted)
+    tableaux._drop_domains()
+    for k in range(1, m):
+        calls.update(_swap_rows=0, _promote_rows=0)
+        bk_t_perm(lam, m, k)
+        windows = {P[max(k - 2, 0) : k + 1] for P in patterns}
+        assert calls == {"_swap_rows": len(windows), "_promote_rows": 0}, k
+    for k in range(1, m + 1):
+        calls.update(_swap_rows=0, _promote_rows=0)
+        promotion_perm(lam, m, k)
+        windows = {P[:k] for P in patterns}
+        assert calls == {"_swap_rows": 0, "_promote_rows": len(windows)}, k
     tableaux._drop_domains()
 
 
@@ -708,6 +733,8 @@ from cactus_tableaux.tableaux import Tableau
 if __debug__:
     sys.exit("assert statements are live: not an optimised run")
 
+SWAP_ROWS = gt_patterns._swap_rows  # the working kernel, before the stand-ins
+
 
 def reversed_row(rows, k):
     return (rows[0][::-1],) + rows[1:]  # row 0 of a SYT no longer increases
@@ -732,18 +759,20 @@ def syt_rule_on_a_corrupted_domain():
 
 def t_rule_on_a_corrupted_view():
     # The column view of SSYT((2, 1), 3) keeps its first key only, so t1
-    # maps the other tableaux to keys outside the domain.
-    view = group_actions._column_view
+    # maps the other tableaux to keys outside the domain.  The strip swap
+    # is the working one here, so only the check of every image key
+    # against the view can see it.
+    view, broken = group_actions._column_view, group_actions._swap_rows
 
     def corrupted(lam, m):
         whole = view(lam, m)
         return whole._replace(position=dict(list(whole.position.items())[:1]))
 
-    group_actions._column_view = corrupted
+    group_actions._column_view, group_actions._swap_rows = corrupted, SWAP_ROWS
     try:
         group_actions.bk_t_perm((2, 1), 3, 1)
     finally:
-        group_actions._column_view = view
+        group_actions._column_view, group_actions._swap_rows = view, broken
 
 
 def domain_without_its_first_tableau():
@@ -774,6 +803,7 @@ calls = {
     "interval_evacuation": lambda: sliding.interval_evacuation(T, (2, 3)),
     "bk_t_perm on a corrupted view": t_rule_on_a_corrupted_view,
     "bk_t_perm on SYT": syt_rule_on_a_corrupted_domain,
+    "bk_t_perm on SSYT": lambda: group_actions.bk_t_perm((2, 1), 3, 1),
     "domain count": domain_without_its_first_tableau,
     "key count": keys_off_their_count,
     "promotion_perm on SYT": lambda: group_actions.promotion_perm((2, 1), None, 2),
@@ -801,8 +831,9 @@ for broken in (reversed_row, one_row):
 def test_kernel_post_conditions_hold_under_python_O():
     """With the row kernels replaced by a broken stand-in, every layer that
     runs them still raises, in an interpreter that strips assert statements;
-    so do the SYT rule for t_k on corrupted keys, the SSYT rule for t_k
-    on a corrupted column view, the domain count and the SYT key count.
+    so do the SYT rule for t_k on corrupted keys, the SSYT t_k build on a
+    corrupted column view (there with the working strip swap, so that only
+    its image-key check can see it), the domain count and the SYT key count.
     One stand-in breaks semistandardness; the other keeps it and changes
     the shape, which only the same-shape half of ``_check_image`` (or, on a
     domain, the image-in-domain check) can see."""

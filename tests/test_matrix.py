@@ -40,10 +40,10 @@ domain, and every pair of columns must agree.  Two columns that run the
 same kernel share its faults, so each column names its kernel, and every
 row must hold an agreeing pair that shares none:
 
-    column view    SSYT t_k and the t-built p/q atoms: BK's reflection of
-                   pattern row k, on Gelfand-Tsetlin columns
     row word       SYT t_k and the t-built p/q atoms: ``_syt_t_perms``
-    _swap_rows     ``act``'s t atoms, ``strip_swap``
+    _swap_rows     SSYT t_k and the t-built p/q atoms, which run it once
+                   per distinct window of pattern rows k-1..k+1;
+                   ``act``'s t atoms, ``strip_swap``
     _promote_rows  the pr_k builds, ``interval_perm`` (which composes
                    promotions), ``act``'s p atoms, ``bounded_promotion``,
                    ``promotion``, ``partial_evacuation_oracle``
@@ -59,8 +59,9 @@ runs its own dispatch and checks on every tableau.
 
 A new build path is one more entry in ``ROWS``.
 
-``python tests/test_matrix.py --n 7 --families domain act`` runs chosen
-families on every domain of one n (SSYT(lam, n) and SYT(lam), lam |- n).
+``python tests/test_matrix.py --n 7 --families domain act oracle`` runs
+chosen families on every domain of one n (SSYT(lam, n) and SYT(lam),
+lam |- n).
 """
 
 from __future__ import annotations
@@ -97,8 +98,8 @@ from cactus_tableaux.tableaux import Tableau, _drop_domains, _index
 
 from helpers import evacuation_oracle, partial_evacuation_oracle, promotion_oracle
 
-VIEW = ("column view", "row word")  # the t_k build on SSYT, on SYT
 SWAP, PROMOTE, EVACUATE = "_swap_rows", "_promote_rows", "_evacuate_rows"
+T_BUILD = (SWAP, "row word")  # the t_k build on SSYT, on SYT
 JDT = "jdt_rectify"
 FAMILIES = ("domain", "act", "public", "oracle")
 
@@ -166,7 +167,7 @@ def _reflecting(rank, k):
 
 ROWS: dict[str, tuple[Column, ...]] = {
     "t": (
-        Column("bk_t_perm", "domain", VIEW, _building(bk_t_perm)),
+        Column("bk_t_perm", "domain", T_BUILD, _building(bk_t_perm)),
         Column("act t_k", "act", SWAP, _acting(lambda k: f"t{k}")),
         Column("strip_swap", "public", SWAP, _applying(strip_swap)),
         Column("bk_tau", "oracle", "bk_tau", _reflecting),
@@ -174,7 +175,11 @@ ROWS: dict[str, tuple[Column, ...]] = {
     "pr": (
         Column("promotion_perm", "domain", PROMOTE, _building(promotion_perm)),
         Column(
-            "word_perm p_(k-1)", "domain", VIEW, _word_built(lambda k: f"p{k - 1}"), _from_2
+            "word_perm p_(k-1)",
+            "domain",
+            T_BUILD,
+            _word_built(lambda k: f"p{k - 1}"),
+            _from_2,
         ),
         Column("act p_(k-1)", "act", PROMOTE, _acting(lambda k: f"p{k - 1}"), _from_2),
         Column("bounded_promotion", "public", PROMOTE, _applying(bounded_promotion)),
@@ -189,7 +194,11 @@ ROWS: dict[str, tuple[Column, ...]] = {
             _building(lambda lam, m, k: interval_perm(lam, m, 1, k)),
         ),
         Column(
-            "word_perm q_(k-1)", "domain", VIEW, _word_built(lambda k: f"q{k - 1}"), _from_2
+            "word_perm q_(k-1)",
+            "domain",
+            T_BUILD,
+            _word_built(lambda k: f"q{k - 1}"),
+            _from_2,
         ),
         Column("act q_(k-1)", "act", EVACUATE, _acting(lambda k: f"q{k - 1}"), _from_2),
         Column("act c_[1,k]", "act", EVACUATE, _acting(lambda k: f"c[1,{k}]"), _from_2),
