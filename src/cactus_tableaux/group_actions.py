@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import operator
 import re
-from bisect import bisect_right
 from functools import reduce
-from typing import Callable, Iterable, NamedTuple, Optional, Union
+from typing import Callable, Iterable, Optional, Union
 
 from .shapes import Interval, Partition, Permutation, value_type
 from .sliding import _evacuate_rows, _promote_rows
@@ -22,6 +21,7 @@ from .tableaux import (
     Tableau,
     _check_image,
     _index,
+    _keyed_domain,
     _per_domain,
     _straight_ssyt_rows,
     _syt_keys,
@@ -274,59 +274,6 @@ def interval_perm(
     return interval_perm(lam, m, 1, b - 1) * promotion_perm(lam, m, b)
 
 
-class _ColumnView(NamedTuple):
-    """SSYT(lam, m) as Gelfand-Tsetlin pattern keys, in the order of its index.
-
-    On SYT(lam), the standard part of SSYT(lam, n), read m as n = |lam|.
-    L(i, j) is the number of entries <= j in row i of a tableau, the entry
-    (i, j) of its pattern.  Only the entries with 1 <= i <= min(j, len(lam))
-    and j < m vary over the domain: the top row j = m is lam, and L(i, j)
-    is 0 for i > j or i > len(lam).  ``keys`` reads those entries as one
-    mixed-radix integer per tableau, digit (i, j) of radix lam_i + 1, the
-    digits ordered by pattern row j; ``cuts[j]`` is the weight past row j.
-    So ``key // cuts[lo] % (cuts[hi] // cuts[lo])`` is the window of
-    pattern rows lo+1..hi, and ``key % cuts[k]`` the sub-tableau of entries
-    <= k.  ``position`` maps each key to its tableau's position in the
-    domain.
-    """
-
-    cuts: tuple[int, ...]
-    keys: list[int]
-    position: dict[int, int]
-
-
-@_per_domain
-def _column_view(lam: tuple[int, ...], m: Optional[int]) -> _ColumnView:
-    """The Gelfand-Tsetlin key view of SSYT(lam, m), or of SYT(lam) if m
-    is None, built once per domain.
-
-    A row's digits depend on that row alone, so each distinct row is
-    counted once.
-    """
-    index = _index(lam, m)
-    m = sum(lam) if m is None else m  # SYT(lam) has the alphabet 1..|lam|
-    weights = {}
-    cuts = [1]
-    for j in range(1, m):
-        weight = cuts[-1]
-        for i in range(1, min(j, len(lam)) + 1):
-            weights[i, j] = weight
-            weight *= lam[i - 1] + 1
-        cuts.append(weight)
-    cuts.append(cuts[-1])  # the top row m is constant and has no digit
-    keys = [0] * len(index)
-    for r in range(len(lam)):
-        i, js = r + 1, range(r + 1, m)
-        row_of = [rows[r] for rows in index]
-        part = {
-            row: sum(bisect_right(row, j) * weights[i, j] for j in js)
-            for row in set(row_of)
-        }
-        keys = list(map(operator.add, keys, map(part.__getitem__, row_of)))
-    position = {key: i for i, key in enumerate(keys)}
-    return _ColumnView(tuple(cuts), keys, position)
-
-
 def _windowed_perm(
     lam: tuple[int, ...],
     m: Optional[int],
@@ -336,20 +283,20 @@ def _windowed_perm(
     what: str,
 ) -> Permutation:
     """The permutation of the domain (lam, m) of an operator that changes a
-    tableau's key by an amount that depends only on its window, pattern
-    rows lo+1..hi of the column view.
+    tableau's key by an amount that depends only on its window of the key
+    that ``tableaux._keyed_domain`` builds: pattern rows lo+1..hi on SSYT,
+    the rows of the entries lo+1..hi on SYT.
 
     The row kernel runs once per distinct window, on the first tableau that
-    holds it; that image must lie in the domain, and its key change is
-    added to the key of every tableau with the same window.  Its
+    holds it; that image must lie in the domain's index, and its key change
+    is added to the key of every tableau with the same window.  Its
     post-condition, checked in every run mode: every image key lies in the
     domain.
     """
     index = _index(lam, m)
-    view = _column_view(lam, m)
-    keys, position = view.keys, view.position
-    low = view.cuts[lo]
-    span = view.cuts[hi] // low
+    _, cuts, keys, position = _keyed_domain(lam, m)
+    low = cuts[lo]
+    span = cuts[hi] // low
     shift = {}
     images = []
     for key, rows in zip(keys, index):
@@ -443,11 +390,11 @@ def promotion_perm(lam: tuple[int, ...], m: Optional[int], k: int) -> Permutatio
     """Bounded promotion with window 1..k as a permutation of (lam, m).
 
     The window must lie in the domain's alphabet: a larger one relabels
-    vacated cells k, outside the domain.  On SSYT and SYT alike, pr_k fixes
-    every entry above k and keeps the shape of the entries <= k, so it
-    changes only pattern rows below k, and how depends only on the
-    sub-tableau of entries <= k, pattern rows 1..k: so ``_promote_rows``
-    runs once per distinct sub-tableau (:func:`_windowed_perm`).
+    vacated cells k, outside the domain.  pr_k fixes every entry above k,
+    so it changes a tableau's key by an amount that depends only on the
+    sub-tableau of entries <= k: pattern rows 1..k on SSYT, and the row
+    digits of 1..k, ``key % d^k``, on SYT.  So ``_promote_rows`` runs once
+    per distinct sub-tableau (:func:`_windowed_perm`).
     """
     _check_window(lam, m, f"promotion_{k}", 1, k)
     return _windowed_perm(

@@ -326,13 +326,19 @@ def _content_rows(lam: tuple[int, ...], counts: tuple[int, ...]) -> list[Rows]:
     return out
 
 
-def _ssyt_rows(lam: tuple[int, ...], m: int) -> list[Rows]:
-    """The rows of every semistandard tableau of straight shape lam over 1..m.
+def _ssyt_rows(
+    lam: tuple[int, ...], m: int
+) -> tuple[list[Rows], list[int], tuple[int, ...]]:
+    """SSYT(lam, m), the semistandard tableaux of straight shape lam over
+    1..m: the rows and the Gelfand-Tsetlin key of each, and the cuts of
+    those keys, as ``_keyed_domain`` documents them.
 
     Order: lexicographic on the row-reading word, as the cells are filled
     in reading order with each entry tried in increasing order.  A cell gets
     no entry that would leave too few values for the column below it, so
     every partial filling extends, and a column longer than m gets none.
+    An entry e placed in row i adds 1 to L(i, j) for each e <= j < m, so
+    the fill adds that tabled sum of digit weights to the key.
     """
     if m < 1:
         raise ValueError("alphabet size must be >= 1")
@@ -341,26 +347,37 @@ def _ssyt_rows(lam: tuple[int, ...], m: int) -> list[Rows]:
     # The largest entry of each cell: the column below it needs distinct
     # larger values.
     top = [m - cols[c] + r + 1 for r, c in cells]
+    cuts = [1]
+    for j in range(1, m):
+        cuts.append(cuts[-1] * math.prod(part + 1 for part in lam[:j]))
+    cuts.append(cuts[-1])  # the top row m is lam and has no digit
+    # Digit (i, j) weighs cuts[j - 1] times the radices of the rows above i;
+    # tails[e], e >= 1, is the sum of cuts[j - 1] over e <= j < m.
+    tails = [0, *(sum(cuts[e - 1 : m - 1]) for e in range(1, m + 1))]
+    radices = itertools.accumulate((p + 1 for p in lam[:-1]), operator.mul, initial=1)
+    gains = [[radix * tail for tail in tails] for radix in radices]
     rows: list[list[int]] = [[] for _ in lam]
     out: list[Rows] = []
+    keys: list[int] = []
 
-    def fill(i: int) -> None:
+    def fill(i: int, key: int) -> None:
         if i == len(cells):
             out.append(tuple(map(tuple, rows)))
+            keys.append(key)
             return
         r, c = cells[i]
-        row = rows[r]
+        row, gain = rows[r], gains[r]
         lo = row[c - 1] if c else 1
         if r and rows[r - 1][c] >= lo:
             lo = rows[r - 1][c] + 1
         for e in range(lo, top[i] + 1):
             row.append(e)
-            fill(i + 1)
+            fill(i + 1, key + gain[e])
             row.pop()
 
-    fill(0)
+    fill(0, 0)
     del fill  # break fill's cycle through its closure, as in _content_rows
-    return out
+    return out, keys, tuple(cuts)
 
 
 def _column_lengths(lam: tuple[int, ...]) -> list[int]:
@@ -495,25 +512,60 @@ def _syt_rows_of(lam: tuple[int, ...], key: int) -> Rows:
 
 
 @_per_domain
+def _keyed_domain(
+    lam: tuple[int, ...], m: Optional[int]
+) -> tuple[dict[Rows, int], tuple[int, ...], list[int], dict[int, int]]:
+    """SSYT(lam, m), or SYT(lam) if m is None, built once per domain as
+    (index, cuts, keys, position): each tableau's rows mapped to its
+    position, the cuts of the keys, each tableau's int key in index order,
+    and each key mapped to its position.
+
+    On SSYT the key reads the Gelfand-Tsetlin entries L(i, j), the number
+    of entries <= j in row i, that vary over the domain: those with
+    1 <= i <= min(j, len(lam)) and j < m, as mixed-radix digits (i, j) of
+    radix lam_i + 1, ordered by pattern row j and then by i; cuts[j] is
+    the weight past pattern row j.  On SYT it is the row word of
+    ``_syt_keys``, and cuts[j] is d^j.  So ``key // cuts[lo] % (cuts[hi]
+    // cuts[lo])`` is the window of pattern rows lo+1..hi, or of the rows
+    of the entries lo+1..hi, and ``key % cuts[k]`` the sub-tableau of
+    entries <= k.
+
+    SSYT comes from one fill, ``_ssyt_rows``; the post-condition, checked
+    in every run mode, is that its keys are as many distinct ints as the
+    hook-content formula counts.  On SYT each row is decoded from its key
+    in ``_syt_keys``, which checks its own count; ``_index`` checks rows.
+    """
+    if m is None:
+        keys = _syt_keys(lam)[0]
+        d = max(len(lam), 2)
+        cuts = tuple(d**j for j in range(sum(lam) + 1))
+        rows = (_syt_rows_of(lam, key) for key in keys)
+    else:
+        rows, keys, cuts = _ssyt_rows(lam, m)
+    index = {tableau: i for i, tableau in enumerate(rows)}
+    position = {key: i for i, key in enumerate(keys)}
+    if m is not None and len(position) != _ssyt_count(lam, m):
+        raise AssertionError(
+            f"SSYT({lam}, {m}) has {len(position)} distinct tableaux by key,"
+            f" not {_ssyt_count(lam, m)}"
+        )
+    return index, cuts, keys, position
+
+
+@_per_domain
 def _index(lam: tuple[int, ...], m: Optional[int]) -> dict[Rows, int]:
     """Positions in the domain (lam, m), keyed by the rows of each tableau.
 
-    The domain is SSYT(lam, m) from ``_ssyt_rows``, or SYT(lam) decoded
-    from the keys of ``_syt_keys`` in their order if m is None.  This is
-    the one cached copy of a domain's rows: the tableau tuples, the pr_k
-    builds and the counterexamples read positions from it.  The SYT t_k
-    builds and the main theorem read only ``_syt_keys``, so they never
-    build it.  Its post-condition, checked in every run mode: the domain
-    has as many distinct rows as the hook-length (SYT) or hook-content
-    (SSYT) formula counts.  A domain lives for one verify shard, at whose
-    end ``_drop_domains`` empties this cache.
+    This is the index of ``_keyed_domain``, the one copy of the domain's
+    rows.  The SYT t_k builds and the main theorem read only
+    ``_syt_keys``, so they never build it.  Its post-condition, checked in
+    every run mode: the domain has as many distinct rows as the
+    hook-length (SYT) or hook-content (SSYT) formula counts.  A domain
+    lives for one verify shard, at whose end ``_drop_domains`` empties
+    this cache.
     """
-    if m is None:
-        rows = [_syt_rows_of(lam, key) for key in _syt_keys(lam)[0]]
-        count = _syt_count(lam)
-    else:
-        rows, count = _ssyt_rows(lam, m), _ssyt_count(lam, m)
-    index = {key: i for i, key in enumerate(rows)}
+    index = _keyed_domain(lam, m)[0]
+    count = _syt_count(lam) if m is None else _ssyt_count(lam, m)
     if len(index) != count:
         raise AssertionError(
             f"the domain {lam}, m = {m} has {len(index)} distinct tableaux,"
@@ -541,7 +593,7 @@ def enumerate_ssyt(
     """
     lam = Partition(lam)
     if content_filter is None:
-        return [Tableau(rows) for rows in _ssyt_rows(lam, m)]
+        return [Tableau(rows) for rows in _ssyt_rows(lam, m)[0]]
     if m < 1:
         raise ValueError("alphabet size must be >= 1")
     nu = Composition(content_filter)

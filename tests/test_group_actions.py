@@ -438,18 +438,48 @@ class TestSytTPerms:
         tableaux._drop_domains()
 
 
+def _documented_weights(lam, m):
+    """The digit weights {(i, j): weight} and the cuts of the keys of
+    SSYT(lam, m), as ``tableaux._keyed_domain`` documents them: a digit
+    (i, j) of radix lam_i + 1 for each 1 <= i <= min(j, len(lam)) and
+    j < m, ordered by j and then by i."""
+    weights, cuts = {}, [1]
+    for j in range(1, m):
+        weight = cuts[-1]
+        for i in range(1, min(j, len(lam)) + 1):
+            weights[i, j] = weight
+            weight *= lam[i - 1] + 1
+        cuts.append(weight)
+    return weights, (*cuts, cuts[-1])
+
+
 @pytest.mark.parametrize("n", range(1, 7))
-def test_syt_column_view_is_the_standard_part_of_ssyt_n(n):
-    """The view of SYT(lam) has the alphabet 1..n: its cuts are those of
-    SSYT(lam, n), and each standard tableau keeps the key it has there, in
-    the order of the SYT index."""
+def test_keyed_domain_reads_the_documented_keys(n):
+    """On SSYT(lam, m), m <= 6, each key is the tableau's Gelfand-Tsetlin
+    pattern from ``to_pattern`` read in the documented mixed radix, with
+    the documented cuts; on SYT(lam) it is the row word in base
+    d = max(len(lam), 2), the key of ``_syt_keys``, with cuts d^j.  Each
+    key maps to its position in the index."""
     for lam in map(tuple, enumerate_partitions(n)):
-        syt, ssyt = (group_actions._column_view(lam, m) for m in (None, n))
-        assert syt.cuts == ssyt.cuts, lam
-        at = [_index(lam, n)[rows] for rows in _index(lam, None)]
-        assert syt.keys == [ssyt.keys[i] for i in at], lam
-        assert syt.position == {key: i for i, key in enumerate(syt.keys)}, lam
-    tableaux._drop_domains()
+        for m in range(1, 7):
+            index, cuts, keys, position = tableaux._keyed_domain(lam, m)
+            weights, expected = _documented_weights(lam, m)
+            assert cuts == expected, (lam, m)
+            patterns = [to_pattern(Tableau(rows), m) for rows in index]
+            assert keys == [
+                sum(P.entry(i, j) * w for (i, j), w in weights.items())
+                for P in patterns
+            ], (lam, m)
+            assert position == {key: i for i, key in enumerate(keys)}, (lam, m)
+        index, cuts, keys, position = tableaux._keyed_domain(lam, None)
+        d = max(len(lam), 2)
+        assert cuts == tuple(d**j for j in range(n + 1)), lam
+        assert keys == tableaux._syt_keys(lam)[0], lam
+        assert keys == [
+            sum(r * d ** (x - 1) for r, row in enumerate(T) for x in row) for T in index
+        ], lam
+        assert position == {key: i for i, key in enumerate(keys)}, lam
+        tableaux._drop_domains()
 
 
 def test_windowed_builds_on_a_part_above_255():
@@ -468,10 +498,10 @@ def test_windowed_builds_on_a_part_above_255():
 
 def test_each_window_runs_its_kernel_once(monkeypatch):
     """On SSYT((3, 2, 1), 6), t_k runs ``_swap_rows`` once per distinct
-    pattern rows k-1..k+1, and pr_k runs ``_promote_rows`` once per
-    distinct pattern rows 1..k, among the patterns of the domain."""
-    lam, m = (3, 2, 1), 6
-    patterns = [to_pattern(Tableau(rows), m).rows for rows in _index(lam, m)]
+    pattern rows k-1..k+1; on SYT((3, 2, 1)) it runs none.  On both, pr_k
+    runs ``_promote_rows`` once per distinct pattern rows 1..k among the
+    patterns of the domain: on SYT, once per distinct ``key % d^k``."""
+    lam, n = (3, 2, 1), 6
     calls = {}
     for name in ("_swap_rows", "_promote_rows"):
         kernel = getattr(group_actions, name)
@@ -482,16 +512,18 @@ def test_each_window_runs_its_kernel_once(monkeypatch):
 
         monkeypatch.setattr(group_actions, name, counted)
     tableaux._drop_domains()
-    for k in range(1, m):
-        calls.update(_swap_rows=0, _promote_rows=0)
-        bk_t_perm(lam, m, k)
-        windows = {P[max(k - 2, 0) : k + 1] for P in patterns}
-        assert calls == {"_swap_rows": len(windows), "_promote_rows": 0}, k
-    for k in range(1, m + 1):
-        calls.update(_swap_rows=0, _promote_rows=0)
-        promotion_perm(lam, m, k)
-        windows = {P[:k] for P in patterns}
-        assert calls == {"_swap_rows": 0, "_promote_rows": len(windows)}, k
+    for m in (n, None):
+        patterns = [to_pattern(Tableau(rows), n).rows for rows in _index(lam, m)]
+        for k in range(1, n):
+            calls.update(_swap_rows=0, _promote_rows=0)
+            bk_t_perm(lam, m, k)
+            windows = {P[max(k - 2, 0) : k + 1] for P in patterns} if m else ()
+            assert calls == {"_swap_rows": len(windows), "_promote_rows": 0}, (m, k)
+        for k in range(1, n + 1):
+            calls.update(_swap_rows=0, _promote_rows=0)
+            promotion_perm(lam, m, k)
+            windows = {P[:k] for P in patterns}
+            assert calls == {"_swap_rows": 0, "_promote_rows": len(windows)}, (m, k)
     tableaux._drop_domains()
 
 
@@ -650,11 +682,19 @@ class TestDomainIndex:
         build = getattr(tableaux, name)
         if m is None:  # every SYT but the first: its key and its below mask go
             corrupted = lambda lam: tuple(column[1:] for column in build(lam))
-        else:
-            corrupted = lambda *args: build(*args)[1:]
+        else:  # every SSYT's key, but the rows of the first go
+
+            def corrupted(*args):
+                rows, keys, cuts = build(*args)
+                return rows[1:], keys, cuts
+
         monkeypatch.setattr(tableaux, name, corrupted)
-        with pytest.raises(AssertionError, match="distinct tableaux"):
-            _index.__wrapped__(lam, m)
+        tableaux._drop_domains()  # so that _index reads the corrupted build
+        try:
+            with pytest.raises(AssertionError, match="distinct tableaux, not"):
+                _index.__wrapped__(lam, m)
+        finally:
+            tableaux._drop_domains()
 
     def test_syt_key_count_post_condition(self, monkeypatch):
         """The key build checks its own count, which the main-theorem path
@@ -757,22 +797,22 @@ def syt_rule_on_a_corrupted_domain():
         group_actions._syt_keys = keys
 
 
-def t_rule_on_a_corrupted_view():
-    # The column view of SSYT((2, 1), 3) keeps its first key only, so t1
-    # maps the other tableaux to keys outside the domain.  The strip swap
-    # is the working one here, so only the check of every image key
-    # against the view can see it.
-    view, broken = group_actions._column_view, group_actions._swap_rows
+def t_rule_on_corrupted_keys():
+    # The keyed domain of SSYT((2, 1), 3) keeps the position of its first
+    # key only, so t1 maps the other tableaux to keys outside the domain.
+    # The strip swap is the working one here, so only the check of every
+    # image key against the positions can see it.
+    keyed, broken = group_actions._keyed_domain, group_actions._swap_rows
 
     def corrupted(lam, m):
-        whole = view(lam, m)
-        return whole._replace(position=dict(list(whole.position.items())[:1]))
+        index, cuts, keys, position = keyed(lam, m)
+        return index, cuts, keys, dict(list(position.items())[:1])
 
-    group_actions._column_view, group_actions._swap_rows = corrupted, SWAP_ROWS
+    group_actions._keyed_domain, group_actions._swap_rows = corrupted, SWAP_ROWS
     try:
         group_actions.bk_t_perm((2, 1), 3, 1)
     finally:
-        group_actions._column_view, group_actions._swap_rows = view, broken
+        group_actions._keyed_domain, group_actions._swap_rows = keyed, broken
 
 
 def domain_without_its_first_tableau():
@@ -782,6 +822,23 @@ def domain_without_its_first_tableau():
         tableaux._index.__wrapped__((3, 1), None)
     finally:
         tableaux._syt_keys = keys
+        tableaux._drop_domains()
+
+
+def ssyt_keys_off_their_count():
+    # The fill of SSYT((2, 1), 3) with its last key replaced by its first:
+    # the rows are right, but the keys are one short of distinct.
+    fill = tableaux._ssyt_rows
+
+    def corrupted(lam, m):
+        rows, keys, cuts = fill(lam, m)
+        return rows, keys[:-1] + keys[:1], cuts
+
+    tableaux._ssyt_rows = corrupted
+    try:
+        tableaux._keyed_domain.__wrapped__((2, 1), 3)
+    finally:
+        tableaux._ssyt_rows = fill
 
 
 def keys_off_their_count():
@@ -801,11 +858,12 @@ calls = {
     "partial_evacuation": lambda: sliding.partial_evacuation(T, 3),
     "evacuation": lambda: sliding.evacuation(T),
     "interval_evacuation": lambda: sliding.interval_evacuation(T, (2, 3)),
-    "bk_t_perm on a corrupted view": t_rule_on_a_corrupted_view,
+    "bk_t_perm on corrupted keys": t_rule_on_corrupted_keys,
     "bk_t_perm on SYT": syt_rule_on_a_corrupted_domain,
     "bk_t_perm on SSYT": lambda: group_actions.bk_t_perm((2, 1), 3, 1),
     "domain count": domain_without_its_first_tableau,
     "key count": keys_off_their_count,
+    "SSYT keys off their count": ssyt_keys_off_their_count,
     "promotion_perm on SYT": lambda: group_actions.promotion_perm((2, 1), None, 2),
     "promotion_perm on SSYT": lambda: group_actions.promotion_perm((2, 1), 3, 2),
     "act t2": lambda: group_actions.act(group_actions.parse_word("t2", 3), T),
@@ -831,9 +889,10 @@ for broken in (reversed_row, one_row):
 def test_kernel_post_conditions_hold_under_python_O():
     """With the row kernels replaced by a broken stand-in, every layer that
     runs them still raises, in an interpreter that strips assert statements;
-    so do the SYT rule for t_k on corrupted keys, the SSYT t_k build on a
-    corrupted column view (there with the working strip swap, so that only
-    its image-key check can see it), the domain count and the SYT key count.
+    so do the SYT rule for t_k on corrupted keys, the SSYT t_k build on
+    corrupted key positions (there with the working strip swap, so that
+    only its image-key check can see it), the domain count and the SYT and
+    SSYT key counts.
     One stand-in breaks semistandardness; the other keeps it and changes
     the shape, which only the same-shape half of ``_check_image`` (or, on a
     domain, the image-in-domain check) can see."""

@@ -47,7 +47,7 @@ STRAIGHT_SSYT = [
     rows
     for n in range(6)
     for lam in enumerate_partitions(n)
-    for rows in _ssyt_rows(lam, 4)
+    for rows in _ssyt_rows(lam, 4)[0]
 ]
 
 
@@ -296,7 +296,7 @@ class TestEnumeration:
             for lam in map(tuple, enumerate_partitions(n)):
                 for m in range(1, 7):
                     by_content: dict = {}
-                    for rows in _ssyt_rows(lam, m):
+                    for rows in _ssyt_rows(lam, m)[0]:
                         nu = tuple(
                             sum(row.count(v) for row in rows) for v in range(1, m + 1)
                         )
