@@ -293,8 +293,7 @@ def _windowed_perm(
     post-condition, checked in every run mode: every image key lies in the
     domain.
     """
-    index = _index(lam, m)
-    _, cuts, keys, position = _keyed_domain(lam, m)
+    index, cuts, keys, position = _keyed_domain(lam, m)
     low = cuts[lo]
     span = cuts[hi] // low
     shift = {}
@@ -311,7 +310,7 @@ def _windowed_perm(
                 )
             change = shift[window] = keys[j] - key
         try:
-            images.append(position[key + change] + 1)
+            images.append(position[key + change])
         except KeyError:
             raise AssertionError(
                 f"{what} maps {rows} outside the domain {lam}, m = {m}"
@@ -323,66 +322,51 @@ def _windowed_perm(
 def bk_t_perm(lam: tuple[int, ...], m: Optional[int], k: int) -> Permutation:
     """t_k as a permutation of the domain (lam, m).
 
-    Its window k..k+1 must lie in the domain's alphabet.  On SYT(lam) it is
-    read off :func:`_syt_t_perms`.  On SSYT it is Berenstein-Kirillov's
-    reflection of pattern row k, which changes no other row, as a function
-    of pattern rows k-1, k and k+1: so ``_swap_rows``, the strip swap that
-    ``act`` runs, runs once per distinct window of those rows
-    (:func:`_windowed_perm`).  ``bk_tau``, the reflection on one pattern,
-    is the independent oracle the tests compare it with.
-    """
-    _check_window(lam, m, f"t{k}", k, k + 1)
-    if m is None:
-        return _syt_t_perms(lam)[k - 1]
-    return _windowed_perm(
-        lam, m, max(k - 2, 0), k + 1, lambda rows: _swap_rows(rows, k), f"t{k}"
-    )
+    Its window k..k+1 must lie in the domain's alphabet.  On SSYT it is
+    Berenstein-Kirillov's reflection of pattern row k, which changes no
+    other row, as a function of pattern rows k-1, k and k+1: so
+    ``_swap_rows``, the strip swap that ``act`` runs, runs once per
+    distinct window of those rows (:func:`_windowed_perm`).  ``bk_tau``,
+    the reflection on one pattern, is the independent oracle the tests
+    compare it with.
 
-
-@_per_domain
-def _syt_t_perms(lam: tuple[int, ...]) -> tuple[Permutation, ...]:
-    """t_1, ..., t_{n-1} as permutations of SYT(lam), n = |lam|.
-
-    Read T as its row word w, with w[x-1] the row of x; the row words of
-    SYT(lam) are exactly its lattice words of content lam.  Lemma, as k and
-    k+1 fill one box each:
+    On SYT(lam) it is the row-word rule.  Read T as its row word w, with
+    w[x-1] the row of x; the row words of SYT(lam) are exactly its lattice
+    words of content lam.  Lemma, as k and k+1 fill one box each:
     (1) if k+1 sits directly below k, both boxes are bound and t_k fixes T;
     (2) else t_k swaps k and k+1, so w(t_k T) is w with its k-th and
         (k+1)-th letters exchanged (w itself when k and k+1 share a row);
     (3) that swapped word is a lattice word unless k+1 is directly below k.
 
-    The build reads ``tableaux._syt_keys``, each row word as one int key
+    The rule reads ``tableaux._syt_keys``, each row word as one int key
     with the digit of x, row(x), of weight d^(x-1) in base
     d = max(len(lam), 2), and no rows.  Exchanging the digits a of k and
     b of k+1 adds (b - a)(d^(k-1) - d^k) to the key, which is nothing when
     a = b; that shift is tabled by the digit pair a + b d, which is
-    key // d^(k-1) % d^2.  So the image is the tableau with the shifted
+    key // d^(k-1) % d^2.  So the image is the position of the shifted
     key, or T itself when no tableau has it.  That fixed branch is the
     rule's post-condition: it raises AssertionError, in every run mode,
     unless bit k+1 of T's below mask says that the key build placed k+1
     directly below k.  ``_swap_rows`` is the independent oracle the tests
     compare it with.
     """
-    n = sum(lam)
+    _check_window(lam, m, f"t{k}", k, k + 1)
+    if m is not None:
+        return _windowed_perm(
+            lam, m, max(k - 2, 0), k + 1, lambda rows: _swap_rows(rows, k), f"t{k}"
+        )
     d = max(len(lam), 2)
-    keys, below = _syt_keys(lam)
-    position = {key: i for i, key in enumerate(keys, 1)}
-    pairs = d * d
-    perms = []
-    for k in range(1, n):
-        low, high = d ** (k - 1), d**k
-        shift = [(p // d - p % d) * (low - high) for p in range(pairs)]
-        images = [position.get(key + shift[key // low % pairs]) for key in keys]
-        for i, image in enumerate(images):
-            if image is None:
-                if not below[i] >> (k + 1) & 1:
-                    rows = _syt_rows_of(lam, keys[i])
-                    raise AssertionError(
-                        f"t{k} finds no image for the SYT {rows} of {lam}"
-                    )
-                images[i] = i + 1
-        perms.append(Permutation(images))
-    return tuple(perms)
+    keys, below, position = _syt_keys(lam)
+    low, high, pairs = d ** (k - 1), d**k, d * d
+    shift = [(p // d - p % d) * (low - high) for p in range(pairs)]
+    images = [position.get(key + shift[key // low % pairs]) for key in keys]
+    for i, image in enumerate(images):
+        if image is None:
+            if not below[i] >> (k + 1) & 1:
+                rows = _syt_rows_of(lam, keys[i])
+                raise AssertionError(f"t{k} finds no image for the SYT {rows} of {lam}")
+            images[i] = i + 1
+    return Permutation(images)
 
 
 @_per_domain

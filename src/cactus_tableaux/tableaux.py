@@ -431,9 +431,10 @@ def _drop_domains() -> None:
 
 
 @_per_domain
-def _syt_keys(lam: tuple[int, ...]) -> tuple[list[int], list[int]]:
-    """SYT(lam) as two lists of ints, one entry per tableau, in the order of
-    its domain index: the row-word keys and the below masks.
+def _syt_keys(lam: tuple[int, ...]) -> tuple[list[int], list[int], dict[int, int]]:
+    """SYT(lam) as (keys, below, position): the row-word keys and the below
+    masks, one int per tableau in the order of its domain index, and each
+    key mapped to its 1-based position, as ``Permutation`` images are.
 
     The key of T reads its row word as one int: the digit of x is row(x),
     of weight d^(x-1) in base d = max(len(lam), 2).  Bit x of T's below
@@ -452,8 +453,10 @@ def _syt_keys(lam: tuple[int, ...]) -> tuple[list[int], list[int]]:
     numeric order of (B_0, B_1, ...), read as one int with B_0 highest:
     one sort on it gives the index order.
 
-    Its post-condition, checked in every run mode: SYT(lam) has as many
-    distinct keys as the hook-length formula counts.
+    Its post-condition, checked in every run mode: the position dict has
+    as many keys as the hook-length formula counts.  The t_k builds and
+    the main theorem read this build only; ``_keyed_domain`` reuses its
+    position dict.
     """
     n, depth = sum(lam), len(lam)
     d = max(depth, 2)
@@ -492,12 +495,13 @@ def _syt_keys(lam: tuple[int, ...]) -> tuple[list[int], list[int]]:
     by_order = sorted(range(len(orders)), key=orders.__getitem__)
     keys = [keys[i] for i in by_order]
     below = [below[i] for i in by_order]
-    distinct, count = len(set(keys)), _syt_count(lam)
-    if distinct != count:
+    position = {key: i for i, key in enumerate(keys, 1)}
+    count = _syt_count(lam)
+    if len(position) != count:
         raise AssertionError(
-            f"SYT({lam}) has {distinct} distinct tableaux by key, not {count}"
+            f"SYT({lam}) has {len(position)} distinct tableaux by key, not {count}"
         )
-    return keys, below
+    return keys, below, position
 
 
 def _syt_rows_of(lam: tuple[int, ...], key: int) -> Rows:
@@ -517,8 +521,9 @@ def _keyed_domain(
 ) -> tuple[dict[Rows, int], tuple[int, ...], list[int], dict[int, int]]:
     """SSYT(lam, m), or SYT(lam) if m is None, built once per domain as
     (index, cuts, keys, position): each tableau's rows mapped to its
-    position, the cuts of the keys, each tableau's int key in index order,
-    and each key mapped to its position.
+    0-based position, the cuts of the keys, each tableau's int key in index
+    order, and each key mapped to its 1-based position, as ``Permutation``
+    images are.
 
     On SSYT the key reads the Gelfand-Tsetlin entries L(i, j), the number
     of entries <= j in row i, that vary over the domain: those with
@@ -530,48 +535,36 @@ def _keyed_domain(
     of the entries lo+1..hi, and ``key % cuts[k]`` the sub-tableau of
     entries <= k.
 
-    SSYT comes from one fill, ``_ssyt_rows``; the post-condition, checked
-    in every run mode, is that its keys are as many distinct ints as the
-    hook-content formula counts.  On SYT each row is decoded from its key
-    in ``_syt_keys``, which checks its own count; ``_index`` checks rows.
+    SSYT comes from one fill, ``_ssyt_rows``.  On SYT each row is decoded
+    from its key, and the keys and their position dict are those of
+    ``_syt_keys``.  The one domain post-condition, checked in every run
+    mode for both kinds: the domain has as many distinct rows and as many
+    distinct keys as the hook-length (SYT) or hook-content (SSYT) formula
+    counts.
     """
     if m is None:
-        keys = _syt_keys(lam)[0]
+        keys, _, position = _syt_keys(lam)
         d = max(len(lam), 2)
         cuts = tuple(d**j for j in range(sum(lam) + 1))
         rows = (_syt_rows_of(lam, key) for key in keys)
+        count = _syt_count(lam)
     else:
         rows, keys, cuts = _ssyt_rows(lam, m)
+        position = {key: i for i, key in enumerate(keys, 1)}
+        count = _ssyt_count(lam, m)
     index = {tableau: i for i, tableau in enumerate(rows)}
-    position = {key: i for i, key in enumerate(keys)}
-    if m is not None and len(position) != _ssyt_count(lam, m):
+    if not len(index) == len(position) == count:
         raise AssertionError(
-            f"SSYT({lam}, {m}) has {len(position)} distinct tableaux by key,"
-            f" not {_ssyt_count(lam, m)}"
+            f"the domain {lam}, m = {m} has {len(index)} distinct tableaux by"
+            f" rows and {len(position)} by key, not {count}"
         )
     return index, cuts, keys, position
 
 
-@_per_domain
 def _index(lam: tuple[int, ...], m: Optional[int]) -> dict[Rows, int]:
-    """Positions in the domain (lam, m), keyed by the rows of each tableau.
-
-    This is the index of ``_keyed_domain``, the one copy of the domain's
-    rows.  The SYT t_k builds and the main theorem read only
-    ``_syt_keys``, so they never build it.  Its post-condition, checked in
-    every run mode: the domain has as many distinct rows as the
-    hook-length (SYT) or hook-content (SSYT) formula counts.  A domain
-    lives for one verify shard, at whose end ``_drop_domains`` empties
-    this cache.
-    """
-    index = _keyed_domain(lam, m)[0]
-    count = _syt_count(lam) if m is None else _ssyt_count(lam, m)
-    if len(index) != count:
-        raise AssertionError(
-            f"the domain {lam}, m = {m} has {len(index)} distinct tableaux,"
-            f" not {count}"
-        )
-    return index
+    """The rows of each tableau of the domain (lam, m) mapped to its 0-based
+    position: the index of ``_keyed_domain``, read through its cache."""
+    return _keyed_domain(lam, m)[0]
 
 
 def enumerate_syt(lam: Partition) -> list[Tableau]:

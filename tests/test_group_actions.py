@@ -57,6 +57,7 @@ from cactus_tableaux.sliding import (
     promotion,
 )
 from cactus_tableaux.tableaux import (
+    _DOMAIN_CACHES,
     Tableau,
     _index,
     enumerate_ssyt,
@@ -459,7 +460,8 @@ def test_keyed_domain_reads_the_documented_keys(n):
     pattern from ``to_pattern`` read in the documented mixed radix, with
     the documented cuts; on SYT(lam) it is the row word in base
     d = max(len(lam), 2), the key of ``_syt_keys``, with cuts d^j.  Each
-    key maps to its position in the index."""
+    key maps to its 1-based position in the index, the image a
+    ``Permutation`` gives it."""
     for lam in map(tuple, enumerate_partitions(n)):
         for m in range(1, 7):
             index, cuts, keys, position = tableaux._keyed_domain(lam, m)
@@ -470,7 +472,7 @@ def test_keyed_domain_reads_the_documented_keys(n):
                 sum(P.entry(i, j) * w for (i, j), w in weights.items())
                 for P in patterns
             ], (lam, m)
-            assert position == {key: i for i, key in enumerate(keys)}, (lam, m)
+            assert position == {key: i for i, key in enumerate(keys, 1)}, (lam, m)
         index, cuts, keys, position = tableaux._keyed_domain(lam, None)
         d = max(len(lam), 2)
         assert cuts == tuple(d**j for j in range(n + 1)), lam
@@ -478,7 +480,7 @@ def test_keyed_domain_reads_the_documented_keys(n):
         assert keys == [
             sum(r * d ** (x - 1) for r, row in enumerate(T) for x in row) for T in index
         ], lam
-        assert position == {key: i for i, key in enumerate(keys)}, lam
+        assert position == {key: i for i, key in enumerate(keys, 1)}, lam
         tableaux._drop_domains()
 
 
@@ -671,7 +673,7 @@ class TestDomainIndex:
         for lam in _syt_shapes():
             rows = [t.rows for t in enumerate_syt(lam)]
             assert list(_index(tuple(lam), None)) == rows, lam
-            _, below = tableaux._syt_keys(tuple(lam))
+            _, below, _ = tableaux._syt_keys(tuple(lam))
             assert below == [_below_mask(r) for r in rows], lam
             tableaux._drop_domains()
 
@@ -679,9 +681,17 @@ class TestDomainIndex:
         "name, lam, m", [("_syt_keys", (3, 1), None), ("_ssyt_rows", (2, 1), 3)]
     )
     def test_domain_count_post_condition(self, monkeypatch, name, lam, m):
+        """The domain build counts both its rows and its keys: a key build
+        without its first tableau, or a fill without its first rows, is
+        caught there, in every run mode."""
         build = getattr(tableaux, name)
-        if m is None:  # every SYT but the first: its key and its below mask go
-            corrupted = lambda lam: tuple(column[1:] for column in build(lam))
+        if m is None:  # every SYT but the first: its key, mask and position go
+
+            def corrupted(lam):
+                keys, below, _ = build(lam)
+                keys, below = keys[1:], below[1:]
+                return keys, below, {key: i for i, key in enumerate(keys, 1)}
+
         else:  # every SSYT's key, but the rows of the first go
 
             def corrupted(*args):
@@ -689,27 +699,40 @@ class TestDomainIndex:
                 return rows[1:], keys, cuts
 
         monkeypatch.setattr(tableaux, name, corrupted)
-        tableaux._drop_domains()  # so that _index reads the corrupted build
         try:
-            with pytest.raises(AssertionError, match="distinct tableaux, not"):
-                _index.__wrapped__(lam, m)
+            with pytest.raises(AssertionError, match="distinct tableaux by rows"):
+                tableaux._keyed_domain.__wrapped__(lam, m)
         finally:
             tableaux._drop_domains()
 
     def test_syt_key_count_post_condition(self, monkeypatch):
         """The key build checks its own count, which the main-theorem path
-        reads in place of ``_index``'s."""
+        reads in place of the domain build's."""
         count = tableaux._syt_count
         monkeypatch.setattr(tableaux, "_syt_count", lambda lam: count(lam) + 1)
         with pytest.raises(AssertionError, match="distinct tableaux"):
             tableaux._syt_keys.__wrapped__((3, 1))
 
     def test_main_theorem_builds_no_syt_rows(self):
-        """On a hook, the t_k builds and the identity class read the keys of
-        ``_syt_keys`` only, so the main theorem leaves ``_index`` empty."""
+        """On a hook of size n, the t_k builds and the identity class read
+        the keys of ``_syt_keys`` only, so the main theorem leaves
+        ``_keyed_domain`` empty; it multiplies t_2, ..., t_{n-1}, as s_i
+        acts as t_{i+1}, and builds no t_1.  A domain build on SYT reuses
+        the key build's position dict."""
+        lam, n = (6,) + (1,) * 6, 12
         tableaux._drop_domains()
-        assert verify_main_theorem(Partition((6,) + (1,) * 6)).status == "PASS"
-        assert _index.cache_info().currsize == 0
+        assert verify_main_theorem(Partition(lam)).status == "PASS"
+        assert tableaux._keyed_domain.cache_info().currsize == 0
+        held = [c.__name__ for c in _DOMAIN_CACHES if c.cache_info().currsize]
+        assert sorted(held) == ["_syt_keys", "bk_t_perm"]
+        assert bk_t_perm.cache_info().currsize == n - 2
+        misses = bk_t_perm.cache_info().misses
+        for k in range(2, n):  # every t_k of the main theorem is held
+            bk_t_perm(lam, None, k)
+        assert bk_t_perm.cache_info().misses == misses
+        tableaux._drop_domains()
+        lam = (3, 2, 1)
+        assert tableaux._keyed_domain(lam, None)[3] is tableaux._syt_keys(lam)[2]
         tableaux._drop_domains()
 
 
@@ -789,12 +812,17 @@ def syt_rule_on_a_corrupted_domain():
     # The keys of SYT((3, 1)) without two of its tableaux, which skips the
     # key build's count: t3 finds no image for ((1, 2, 3), (4,)), and the
     # below mask says 4 is not directly below 3 there.
-    keys = group_actions._syt_keys
-    group_actions._syt_keys = lambda lam: tuple(column[:1] for column in keys(lam))
+    build = group_actions._syt_keys
+
+    def first_only(lam):
+        keys, below, _ = build(lam)
+        return keys[:1], below[:1], {keys[0]: 1}
+
+    group_actions._syt_keys = first_only
     try:
-        group_actions.bk_t_perm((3, 1), None, 1)
+        group_actions.bk_t_perm((3, 1), None, 3)
     finally:
-        group_actions._syt_keys = keys
+        group_actions._syt_keys = build
 
 
 def t_rule_on_corrupted_keys():
@@ -816,13 +844,20 @@ def t_rule_on_corrupted_keys():
 
 
 def domain_without_its_first_tableau():
-    keys = tableaux._syt_keys
-    tableaux._syt_keys = lambda lam: tuple(column[1:] for column in keys(lam))
+    # The keys of SYT((3, 1)) without the first, which skips the key
+    # build's count: the domain build counts its rows and keys again.
+    build = tableaux._syt_keys
+
+    def all_but_first(lam):
+        keys, below, _ = build(lam)
+        keys, below = keys[1:], below[1:]
+        return keys, below, {key: i for i, key in enumerate(keys, 1)}
+
+    tableaux._syt_keys = all_but_first
     try:
-        tableaux._index.__wrapped__((3, 1), None)
+        tableaux._keyed_domain.__wrapped__((3, 1), None)
     finally:
-        tableaux._syt_keys = keys
-        tableaux._drop_domains()
+        tableaux._syt_keys = build
 
 
 def ssyt_keys_off_their_count():

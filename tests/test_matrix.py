@@ -40,7 +40,8 @@ domain, and every pair of columns must agree.  Two columns that run the
 same kernel share its faults, so each column names its kernel, and every
 row must hold an agreeing pair that shares none:
 
-    row word       SYT t_k and the t-built p/q atoms: ``_syt_t_perms``
+    row word       SYT t_k and the t-built p/q atoms: the row-word rule in
+                   ``bk_t_perm``
     _swap_rows     SSYT t_k and the t-built p/q atoms, which run it once
                    per distinct window of pattern rows k-1..k+1;
                    ``act``'s t atoms, ``strip_swap``

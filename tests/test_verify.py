@@ -435,8 +435,8 @@ def test_a_check_that_raises_leaves_no_domain_cached(monkeypatch):
     built = []
 
     def broken(n, shape):
-        interval_perm(shape, n, 1, 2)  # _index, promotion_perm, interval_perm
-        bk_t_perm(shape, None, 1)  # _syt_t_perms, bk_t_perm
+        interval_perm(shape, n, 1, 2)  # _keyed_domain, promotion_perm, interval_perm
+        bk_t_perm(shape, None, 1)  # _syt_keys, bk_t_perm
         word_perm(BKWord(n, (("p", 1),)), shape, n)  # _atom_perm
         built.append(_cached_domains())
         raise RuntimeError("broken check")
