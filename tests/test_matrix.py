@@ -58,7 +58,19 @@ per input (``_each_input_once``): they are pure, and two columns that share
 a kernel share its faults however often it runs, while every column still
 runs its own dispatch and checks on every tableau.
 
-A new build path is one more entry in ``ROWS``.
+A new build path is one more entry in ``ROWS``, not one more sweep.
+Beside the matrix run only the checks that no single-generator cell makes:
+
+    ``_evacuate_rows`` at k = 1 and at windows past 6, where no column runs
+    it (``tests/test_sliding.py``)
+    SYT t_k at n = 7, 8, and on hooks up to n = 12, every digit base of its
+    keys (``TestSytTPerms``)
+    multi-factor words, whose product order no cell sees (``TestWordPerms``,
+    ``TestActions``)
+    the atom recursion: the kernel labels are static, so an ``_atom_perm``
+    that returned ``promotion_perm`` would pass the matrix (``TestAtoms``)
+    the ``_unchecked`` equality: no cell compares an ``_unchecked`` tableau
+    with a validated one (``test_unchecked_results_equal_their_validated_rows``)
 
 ``python tests/test_matrix.py --n 7 --families domain act oracle`` runs
 chosen families on every domain of one n (SSYT(lam, n) and SYT(lam),
@@ -97,7 +109,12 @@ from cactus_tableaux.sliding import (
 )
 from cactus_tableaux.tableaux import Tableau, _drop_domains, _index
 
-from helpers import evacuation_oracle, partial_evacuation_oracle, promotion_oracle
+from helpers import (
+    _induced_perm,
+    evacuation_oracle,
+    partial_evacuation_oracle,
+    promotion_oracle,
+)
 
 SWAP, PROMOTE, EVACUATE = "_swap_rows", "_promote_rows", "_evacuate_rows"
 T_BUILD = (SWAP, "row word")  # the t_k build on SSYT, on SYT
@@ -324,18 +341,6 @@ def _tableau_map(column, f, top, support, windows) -> dict:
     return images
 
 
-def _positions(images: dict, index, what: str) -> tuple[int, ...]:
-    """A tableau map as a permutation of the domain ``index``; every image
-    must lie in the domain."""
-    out = []
-    for rows in index:
-        j = index.get(images[rows])
-        if j is None:
-            raise AssertionError(f"{what} maps {rows} to {images[rows]}, outside the domain")
-        out.append(j + 1)
-    return tuple(out)
-
-
 def check_matrix(n: int, alphabets, families=FAMILIES, windows=None) -> int:
     """Assert that the columns of ``families`` agree on SSYT(lam, m) for
     each m in ``alphabets`` and on SYT(lam), for every lam |- n.  Returns
@@ -411,8 +416,9 @@ def _check_cell(lam, row, columns, args, top, holding, rank, windows) -> int:
         on = [(c, images) for c, images in maps if c.applies(M, *args)]
         if on:
             c, images = on[0]
-            what = f"{c.name}{list(args)} on {lam}, m = {m}"
-            perms.append((c.name, _positions(images, index, what)))
+            what = f"{c.name} as {row}{list(args)}"
+            induced = _induced_perm(lam, m, images.__getitem__, what)
+            perms.append((c.name, induced.images))
         for other in perms[1:]:
             assert other[1] == perms[0][1], _disagreement(
                 lam, m, index, row, args, perms[0], other

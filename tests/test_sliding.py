@@ -6,7 +6,6 @@ from cactus_tableaux import sliding
 from cactus_tableaux.shapes import Interval, Partition
 from cactus_tableaux.sliding import (
     _evacuate_rows,
-    _promote_rows,
     bounded_promotion,
     evacuation,
     interval_evacuation,
@@ -21,7 +20,6 @@ from cactus_tableaux import enumerate_partitions
 from helpers import (
     evacuation_oracle,
     partial_evacuation_oracle,
-    promotion_oracle,
     skew_fillings,
     subpartitions,
 )
@@ -151,31 +149,6 @@ class TestBoundedPromotion:
         T = Tableau(((1, 2),))
         assert bounded_promotion(T, 9) == promotion(T, 9)
 
-    def test_matches_skew_rectification_oracle(self):
-        checked = 0
-        for size in range(1, 6):
-            for lam in enumerate_partitions(size):
-                for m in range(1, 6):
-                    for T in enumerate_ssyt(lam, m):
-                        for k in range(1, m + 2):
-                            assert bounded_promotion(T, k) == promotion_oracle(T, k), (T, k)
-                            checked += 1
-                        assert promotion(T, m) == bounded_promotion(T, m)
-        assert checked > 9_000
-
-    def test_row_kernel_matches_skew_rectification_oracle(self):
-        """The kernel alone, with no check around it, as the domain builds
-        call it: every T in SSYT(lam, m), |lam| <= 5, m <= 5, 1 <= k <= m + 1."""
-        checked = 0
-        for size in range(0, 6):
-            for lam in enumerate_partitions(size):
-                for m in range(1, 6):
-                    for T in enumerate_ssyt(lam, m):
-                        for k in range(1, m + 2):
-                            expected = promotion_oracle(T, k).rows
-                            assert _promote_rows(T.rows, k) == expected, (T, k)
-                            checked += 1
-        assert checked > 9_000
 
 class TestEvacuation:
     def test_involution_on_paper_tableau(self):
@@ -195,28 +168,17 @@ class TestEvacuation:
 
     def test_row_kernel_matches_promotion_chain(self):
         """The insertion kernel alone, with no check around it, against
-        xi_[1,k] by its definition pr_k, ..., pr_2: every T in SSYT(lam, 6),
-        |lam| <= 6, 1 <= k <= 8, so every T in SSYT(lam, m), m <= 6, with
-        1 <= k <= m + 2."""
+        xi_[1,k] by its definition pr_k, ..., pr_2, on the windows that no
+        column of the cross-check matrix gives it: k = 1, and k = 7, 8 past
+        the alphabet, on every T in SSYT(lam, 6), |lam| <= 6.  The matrix
+        compares it with ``partial_evacuation_oracle`` at 2 <= k <= 6."""
         checked = 0
-        for T, m in ssyt_sweep(6, 6):
-            for k in range(1, m + 3):
+        for T, _ in ssyt_sweep(6, 6):
+            for k in (1, 7, 8):
                 expected = partial_evacuation_oracle(T.rows, k)
                 assert _evacuate_rows(T.rows, k) == expected, (T, k)
                 checked += 1
-        assert checked == 64_912
-
-    def test_row_kernel_below_its_window_matches_promotion_chain(self):
-        """The insertion kernel alone on every window 1..k that ends above
-        the last row, which then holds no window entry (its first entry is
-        above k): every such (T, k) with T in SSYT(lam, 6), |lam| <= 6."""
-        checked = 0
-        for T, m in ssyt_sweep(6, 6):
-            for k in range(1, T.rows[-1][0] if T.rows else 1):
-                expected = partial_evacuation_oracle(T.rows, k)
-                assert _evacuate_rows(T.rows, k) == expected, (T, k)
-                checked += 1
-        assert checked == 26_243
+        assert checked == 24_342
 
     def test_reverses_content(self):
         for lam in [(3, 2), (2, 2, 1), (4, 1)]:
@@ -235,11 +197,6 @@ class TestPartialAndIntervalEvacuation:
             for k in range(2, 6):
                 assert partial_evacuation(T, k).is_standard()
 
-    def test_partial_is_involution(self):
-        for T in enumerate_ssyt(Partition((2, 2)), 4):
-            for k in (2, 3, 4):
-                assert partial_evacuation(partial_evacuation(T, k), k) == T
-
     def test_interval_definition_unfolds(self):
         J = Interval(2, 4)
         for T in enumerate_ssyt(Partition((2, 1)), 4):
@@ -248,15 +205,6 @@ class TestPartialAndIntervalEvacuation:
                 partial_evacuation(partial_evacuation(T, 4), 3), 4
             )
             assert direct == chained
-
-    def test_interval_is_involution(self):
-        J = Interval(2, 5)
-        for T in enumerate_syt(Partition((3, 1, 1))):
-            assert interval_evacuation(interval_evacuation(T, J), J) == T
-
-    def test_full_interval_is_evacuation(self):
-        for T in enumerate_ssyt(Partition((2, 1)), 3):
-            assert interval_evacuation(T, Interval(1, 3)) == evacuation(T, 3)
 
     def test_interval_from_one_is_one_pass(self, monkeypatch):
         # xi[1,b] is an involution, so xi[1,b] xi[1,b] xi[1,b] is one pass.
